@@ -146,7 +146,6 @@ def _experiment_config(args, target: TargetTable) -> ExperimentConfig:
         seed=_resolve_seed(args.seed),
         workers=args.workers,
         constant_fill=args.fill,
-        backend=args.backend,
     )
 
 
@@ -218,7 +217,6 @@ def _cmd_minscan(args) -> int:
         target,
         constant_fill=args.fill,
         prune=not args.no_prune,
-        backend=args.backend,
     )
     stream = _out_stream(args.out)
     try:
@@ -773,7 +771,6 @@ def _add_sampling_flags(p, with_output_wire=False):
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p.add_argument("--target", default=None, help="target truth-table file (default: six-multiplexor)")
     p.add_argument("--fill", type=int, choices=(0, 1), default=1, help="spare-wire constant")
-    p.add_argument("--backend", choices=("auto", "numba", "numpy"), default="auto")
     if with_output_wire:
         p.add_argument("--output-wire", type=int, default=0, dest="output_wire")
 
@@ -800,7 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="fitness histograms of random circuits")
     _add_sampling_flags(p, with_output_wire=True)
-    p.add_argument("--checkpoint", default=None, help="checkpoint file for resumable runs")
+    p.add_argument("--checkpoint", default=None,
+                   help="checkpoint file for resumable runs (serial: needs --workers 1)")
     p.add_argument("--keep-zeros", action="store_true", help="emit zero-count rows")
     p.set_defaults(func=_cmd_sample)
 

@@ -156,7 +156,7 @@ class TruthTableTrace:
 
     Bit t of `wire_rows[w]` is the value wire w carries on fitness case t.
     Rows are Python integers so any n works; for n <= 6 a row fits one
-    machine word (the batch engine in `sampling` exploits that).
+    machine word (the batch engine `evaluate_batch` exploits that).
     """
 
     wire_rows: list[int]
@@ -220,18 +220,56 @@ def enumerate_gates(wires: int) -> list[Gate]:
     return gates
 
 
+# Gate codes per block of evaluate_batch index vectors (three 512 KiB arrays).
+EVALUATE_INDEX_BLOCK = 1 << 16
+
 _GATE_ARRAY_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def gate_arrays(wires: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(targets, controls_a, controls_b) of enumerate_gates as uint8 arrays."""
+    """(targets, controls_a, controls_b) of enumerate_gates as intp arrays,
+    indexed by gate code (the position in enumerate_gates)."""
     if wires not in _GATE_ARRAY_CACHE:
         gates = enumerate_gates(wires)
-        tg = np.array([g.target for g in gates], dtype=np.uint8)
-        ca = np.array([g.control_a for g in gates], dtype=np.uint8)
-        cb = np.array([g.control_b for g in gates], dtype=np.uint8)
+        tg = np.array([g.target for g in gates], dtype=np.intp)
+        ca = np.array([g.control_a for g in gates], dtype=np.intp)
+        cb = np.array([g.control_b for g in gates], dtype=np.intp)
         _GATE_ARRAY_CACHE[wires] = (tg, ca, cb)
     return _GATE_ARRAY_CACHE[wires]
+
+
+def evaluate_batch(gate_codes: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
+    """Run B circuits bit-parallel: the batch engine behind sampling and search.
+
+    `gate_codes` is (B, L): row s lists circuit s's gates as codes into
+    gate_arrays(W); `init_rows` is the (W,) uint64 starting bus.  Returns
+    the final (B, W) uint64 rows.  The bus is one flat array of B*W words,
+    and each gate column becomes three flat index vectors (row base + wire),
+    so a step is three 1-D gathers and one scatter into preallocated
+    buffers.  Index vectors are built for EVALUATE_INDEX_BLOCK codes at a
+    time, which bounds their memory and spares small batches most per-column
+    numpy calls.
+    """
+    batch, length = gate_codes.shape
+    wires = init_rows.shape[0]
+    tg, ca, cb = gate_arrays(wires)
+    bus = np.tile(init_rows, batch)
+    base = np.arange(batch, dtype=np.intp) * wires
+    va, vb = (np.empty(batch, dtype=np.uint64) for _ in range(2))
+    step = max(1, EVALUATE_INDEX_BLOCK // max(batch, 1))
+    # Every index is in range by construction; mode="clip" spares take's
+    # bounds-checked copy into `out`.
+    for j in range(0, length, step):
+        codes = np.ascontiguousarray(gate_codes[:, j : j + step].T, dtype=np.intp)
+        t, a, b = (wire.take(codes, mode="clip") + base for wire in (tg, ca, cb))
+        for tj, aj, bj in zip(t, a, b):
+            bus.take(aj, out=va, mode="clip")
+            bus.take(bj, out=vb, mode="clip")
+            va &= vb
+            bus.take(tj, out=vb, mode="clip")
+            vb ^= va
+            bus[tj] = vb
+    return bus.reshape(batch, wires)
 
 
 def wire_patterns(wires: int, n_inputs: int, constant_fill: int = 1) -> list[int]:

@@ -1,14 +1,14 @@
 """Large-scale random-circuit experiments.
 
 The throughput core: sample millions of random circuits per length,
-evaluate them bit-parallel (one 64-bit word covers all cases when n <= 6),
-and accumulate fitness histograms.  A numba kernel supplies the fast path
-(millions of circuits/second/core); a pure-numpy fallback computes
-bit-identical results.  Sampling is chunked, and every chunk's generator is
+evaluate them bit-parallel (one 64-bit word covers all cases when n <= 6)
+with the flat-index numpy engine `core.evaluate_batch`, and accumulate
+fitness histograms.  Sampling is chunked, and every chunk's generator is
 seeded from (seed, length, chunk index), so histograms are reproducible
 bit-for-bit regardless of worker count and runs can resume mid-stream.
 
-Also here: exhaustive enumeration of all short circuits (minimality scans).
+Also here: exhaustive enumeration of all short circuits (minimality scans),
+expanded level by level over bounded blocks of bus states.
 """
 
 from __future__ import annotations
@@ -22,16 +22,9 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .core import gate_arrays, wire_patterns
+from .core import evaluate_batch, gate_arrays, wire_patterns
 from .fitness import DEFAULT_OUTPUT, OutputMap, TargetTable
 from .theory import LimitModel, total_variation_distance
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is optional: the numpy path runs without it
-    _HAVE_NUMBA = False
 
 __all__ = [
     "ExperimentConfig",
@@ -47,6 +40,8 @@ __all__ = [
 
 CHUNK_SIZE = 1 << 15
 ENUMERATION_GUARD = 10**8
+# Bus words one scan level may hold at a time (8 MB): bounds the scan's memory.
+SCAN_BLOCK_WORDS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,6 @@ class ExperimentConfig:
     seed: int = 0
     workers: int = 1
     constant_fill: int = 1
-    backend: str = "auto"  # auto | numba | numpy
 
     def __post_init__(self):
         lengths = tuple(int(x) for x in self.lengths)
@@ -76,8 +70,6 @@ class ExperimentConfig:
             raise ValueError("samples_per_length must be >= 1")
         if self.target.n_inputs > self.wires:
             raise ValueError("target has more input bits than wires")
-        if self.backend not in ("auto", "numba", "numpy"):
-            raise ValueError(f"unknown backend {self.backend!r}")
 
 
 @dataclass
@@ -115,102 +107,6 @@ class ConvergenceSeries:
         return [r[3] for r in self.rows]
 
 
-if _HAVE_NUMBA:
-    _M1 = np.uint64(0x5555555555555555)
-    _M2 = np.uint64(0x3333333333333333)
-    _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    _H01 = np.uint64(0x0101010101010101)
-    _U1, _U2, _U4 = np.uint64(1), np.uint64(2), np.uint64(4)
-    _S56 = np.uint64(56)
-
-    @njit(cache=True, inline="always")
-    def _popcount64(x):
-        x = x - ((x >> _U1) & _M1)
-        x = (x & _M2) + ((x >> _U2) & _M2)
-        x = (x + (x >> _U4)) & _M4
-        return (x * _H01) >> _S56
-
-    @njit(cache=True)
-    def _sample_chunk_numba(
-        gate_idx, tg, ca, cb, init_rows, out_wires, target_rows, cases, counts
-    ):
-        batch, length = gate_idx.shape
-        n_wires = init_rows.shape[0]
-        n_out = out_wires.shape[0]
-        rows = np.empty(n_wires, np.uint64)
-        for s in range(batch):
-            for w in range(n_wires):
-                rows[w] = init_rows[w]
-            for j in range(length):
-                g = gate_idx[s, j]
-                rows[tg[g]] ^= rows[ca[g]] & rows[cb[g]]
-            fit = 0
-            for k in range(n_out):
-                fit += cases - np.int64(
-                    _popcount64(rows[out_wires[k]] ^ target_rows[k])
-                )
-            counts[fit] += 1
-
-    @njit(cache=True)
-    def _minscan_numba(tg, ca, cb, init_rows, target_row, max_len, prune, counts):
-        n_wires = init_rows.shape[0]
-        n_gates = tg.shape[0]
-        rows = np.empty((max_len + 1, n_wires), np.uint64)
-        for w in range(n_wires):
-            rows[0, w] = init_rows[w]
-        idx = np.zeros(max_len + 1, np.int64)
-        depth = 1
-        idx[1] = 0
-        while depth >= 1:
-            g = idx[depth]
-            if g >= n_gates:
-                depth -= 1
-                if depth >= 1:
-                    idx[depth] += 1
-                continue
-            if prune and depth >= 2 and idx[depth - 1] == g:
-                idx[depth] += 1
-                continue
-            for w in range(n_wires):
-                rows[depth, w] = rows[depth - 1, w]
-            rows[depth, tg[g]] ^= rows[depth, ca[g]] & rows[depth, cb[g]]
-            for w in range(n_wires):
-                if rows[depth, w] == target_row:
-                    counts[depth] += 1
-            if depth < max_len:
-                depth += 1
-                idx[depth] = 0
-            else:
-                idx[depth] += 1
-
-
-def _sample_chunk_numpy(
-    gate_idx, tg, ca, cb, init_rows, out_wires, target_rows, cases, counts
-):
-    batch, length = gate_idx.shape
-    rows = np.broadcast_to(init_rows, (batch, init_rows.shape[0])).copy()
-    ar = np.arange(batch)
-    targets = tg[gate_idx].astype(np.int64)
-    controls_a = ca[gate_idx].astype(np.int64)
-    controls_b = cb[gate_idx].astype(np.int64)
-    for j in range(length):
-        rows[ar, targets[:, j]] ^= (
-            rows[ar, controls_a[:, j]] & rows[ar, controls_b[:, j]]
-        )
-    fit = np.zeros(batch, dtype=np.int64)
-    for k, w in enumerate(out_wires):
-        fit += cases - np.bitwise_count(rows[:, w] ^ target_rows[k]).astype(np.int64)
-    np.add.at(counts, fit, 1)
-
-
-def _resolve_backend(backend: str) -> str:
-    if backend == "auto":
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if backend == "numba" and not _HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    return backend
-
-
 def sample_fitness_histogram(
     wires: int,
     length: int,
@@ -219,7 +115,6 @@ def sample_fitness_histogram(
     target: TargetTable,
     outputs: OutputMap = DEFAULT_OUTPUT,
     constant_fill: int = 1,
-    backend: str = "auto",
     chunk_size: int = CHUNK_SIZE,
     first_chunk: int = 0,
     stop_chunk: int | None = None,
@@ -233,8 +128,7 @@ def sample_fitness_histogram(
     """
     if target.case_count > 64:
         raise ValueError("sampling engine packs cases into one word (n <= 6)")
-    be = _resolve_backend(backend)
-    tg, ca, cb = gate_arrays(wires)
+    n_gates = len(gate_arrays(wires)[0])
     init_rows = np.array(
         wire_patterns(wires, target.n_inputs, constant_fill), dtype=np.uint64
     )
@@ -245,16 +139,19 @@ def sample_fitness_histogram(
     counts = np.zeros(target.max_fitness + 1, dtype=np.int64)
     if initial_counts is not None:
         counts += np.asarray(initial_counts, dtype=np.int64)
-    cases = target.case_count
-    kernel = _sample_chunk_numba if be == "numba" else _sample_chunk_numpy
     n_chunks = (samples + chunk_size - 1) // chunk_size
     last_chunk = n_chunks if stop_chunk is None else min(stop_chunk, n_chunks)
     added = 0
     for c in range(first_chunk, last_chunk):
         batch = min(chunk_size, samples - c * chunk_size)
         rng = np.random.default_rng(np.random.SeedSequence([seed, length, c]))
-        gate_idx = rng.integers(0, len(tg), size=(batch, length), dtype=np.uint16)
-        kernel(gate_idx, tg, ca, cb, init_rows, out_wires, target_rows, cases, counts)
+        gate_idx = rng.integers(0, n_gates, size=(batch, length), dtype=np.uint16)
+        rows = evaluate_batch(gate_idx, init_rows)
+        fit = np.zeros(batch, dtype=np.intp)
+        for w, target_row in zip(out_wires, target_rows):
+            fit += target.case_count
+            fit -= np.bitwise_count(rows[:, w] ^ target_row)
+        counts += np.bincount(fit, minlength=len(counts))
         added += batch
     prior = 0 if initial_counts is None else int(np.asarray(initial_counts).sum())
     assert counts.sum() == prior + added
@@ -263,9 +160,9 @@ def sample_fitness_histogram(
 
 def _histogram_slice(args) -> np.ndarray:
     """Worker entry point: counts for one contiguous chunk range."""
-    (wires, length, samples, seed, target, outputs, fill, backend, first, stop) = args
+    (wires, length, samples, seed, target, outputs, fill, first, stop) = args
     hist = sample_fitness_histogram(
-        wires, length, samples, seed, target, outputs, fill, backend,
+        wires, length, samples, seed, target, outputs, fill,
         first_chunk=first, stop_chunk=stop,
     )
     return hist.counts
@@ -283,12 +180,16 @@ def sample_distribution(
     it stopped (chunk-seeded generators make the resumed histogram
     bit-identical to an uninterrupted one).
 
-    With `workers > 1` (and no checkpoint), each length's chunks are split
-    into contiguous ranges scored in parallel processes; because every chunk
-    seeds its own generator, the merged histogram is identical to a serial
-    run.
+    With `workers > 1`, each length's chunks are split into contiguous
+    ranges scored in parallel processes; because every chunk seeds its own
+    generator, the merged histogram is identical to a serial run.  A
+    checkpointed run is serial, so asking for both raises ValueError.
     """
-    if config.workers > 1 and checkpoint_path is None:
+    if config.workers > 1:
+        if checkpoint_path is not None:
+            raise ValueError(
+                "a checkpointed run is serial: set workers=1 (--workers 1)"
+            )
         return _sample_distribution_parallel(config)
     done: dict[int, np.ndarray] = {}
     cursor_length_idx, cursor_chunk, partial = 0, 0, None
@@ -316,7 +217,7 @@ def sample_distribution(
         if checkpoint_path is None:
             hist = sample_fitness_histogram(
                 config.wires, length, config.samples_per_length, config.seed,
-                config.target, config.outputs, config.constant_fill, config.backend,
+                config.target, config.outputs, config.constant_fill,
             )
         else:
             counts = (
@@ -332,7 +233,7 @@ def sample_distribution(
                 hist = sample_fitness_histogram(
                     config.wires, length, sampled_after, config.seed,
                     config.target, config.outputs, config.constant_fill,
-                    config.backend, first_chunk=c, initial_counts=counts,
+                    first_chunk=c, initial_counts=counts,
                 )
                 counts = hist.counts
                 c = stop
@@ -361,7 +262,7 @@ def _sample_distribution_parallel(config: ExperimentConfig) -> list[FitnessHisto
                 (
                     config.wires, length, config.samples_per_length, config.seed,
                     config.target, config.outputs, config.constant_fill,
-                    config.backend, bounds[i], bounds[i + 1],
+                    bounds[i], bounds[i + 1],
                 )
                 for i in range(w)
             ]
@@ -376,6 +277,9 @@ def _config_key(config: ExperimentConfig) -> str:
         f"|s{config.samples_per_length}|seed{config.seed}"
         f"|out{','.join(map(str, config.outputs.wire_of_output))}"
         f"|fill{config.constant_fill}"
+        f"|in{config.target.n_inputs}"
+        f"|rows{','.join(f'{r:x}' for r in config.target.rows)}"
+        f"|chunk{CHUNK_SIZE}"
     )
 
 
@@ -434,32 +338,35 @@ def solution_density(
     return out
 
 
-def _minscan_python(tg, ca, cb, init_rows, target_row, max_len, prune, counts):
-    n_wires = len(init_rows)
-    n_gates = len(tg)
-    rows = [list(init_rows)] + [[0] * n_wires for _ in range(max_len)]
-    idx = [0] * (max_len + 1)
-    depth = 1
-    while depth >= 1:
-        g = idx[depth]
-        if g >= n_gates:
-            depth -= 1
-            if depth >= 1:
-                idx[depth] += 1
-            continue
-        if prune and depth >= 2 and idx[depth - 1] == g:
-            idx[depth] += 1
-            continue
-        rows[depth][:] = rows[depth - 1]
-        rows[depth][tg[g]] ^= rows[depth][ca[g]] & rows[depth][cb[g]]
-        for w in range(n_wires):
-            if rows[depth][w] == target_row:
-                counts[depth] += 1
-        if depth < max_len:
-            depth += 1
-            idx[depth] = 0
-        else:
-            idx[depth] += 1
+def _scan_level(parents, last, depth, max_length, target_row, prune, counts):
+    """Add to counts[depth] the matches among every one-gate extension of
+    `parents` (n, W), then expand those children in bounded blocks.
+
+    `last` holds each parent's final gate code (-1 for none); with `prune`
+    the extension repeating it is skipped.  Child (p, g) differs from parent
+    p only on gate g's target wire, so its match count is the parent's,
+    minus that wire's old match, plus its new one: no child bus is built to
+    count, and none at all at the deepest level.
+    """
+    tg, ca, cb = gate_arrays(parents.shape[1])
+    old = parents[:, tg]
+    new = old ^ (parents[:, ca] & parents[:, cb])
+    hits = np.count_nonzero(parents == target_row, axis=1)
+    keep = np.arange(len(tg)) != last[:, None]
+    child_hits = hits[:, None] + (new == target_row) - (old == target_row)
+    counts[depth] += np.sum(child_hits, where=keep)
+    if depth == max_length:
+        return
+    p, g = np.nonzero(keep)
+    children = parents[p]
+    children[np.arange(len(p)), tg[g]] = new[p, g]
+    child_last = g if prune else np.full_like(g, -1)
+    block = max(1, SCAN_BLOCK_WORDS // (len(tg) * parents.shape[1]))
+    for s in range(0, len(children), block):
+        _scan_level(
+            children[s : s + block], child_last[s : s + block], depth + 1,
+            max_length, target_row, prune, counts,
+        )
 
 
 def exhaustive_min_scan(
@@ -468,14 +375,16 @@ def exhaustive_min_scan(
     target: TargetTable,
     constant_fill: int = 1,
     prune: bool = True,
-    backend: str = "auto",
 ) -> dict[int, int]:
     """Exact solution counts for every circuit of length 1..max_length.
 
-    Every gate sequence is enumerated depth-first (sharing prefixes) and
-    every wire is tried as the output, so the result is the number of
-    (circuit, output wire) pairs reproducing the target exactly; a circuit
-    can match on at most one wire, so this equals the solving-circuit count.
+    Every gate sequence is enumerated level by level (each level extends the
+    previous one's bus states by every gate, in blocks of at most
+    SCAN_BLOCK_WORDS words per level, so memory does not grow with the
+    sequence count) and every wire is tried as the output, so the result is
+    the number of (circuit, output wire) pairs reproducing the target
+    exactly; a circuit can match on at most one wire, so this equals the
+    solving-circuit count.
 
     With `prune`, sequences containing an adjacent identical gate pair are
     skipped: such a pair cancels (the gate is self-inverse), so the circuit
@@ -489,25 +398,17 @@ def exhaustive_min_scan(
         raise ValueError("max_length must be >= 1")
     if target.case_count > 64:
         raise ValueError("scan packs cases into one word (n <= 6)")
-    tg, ca, cb = gate_arrays(wires)
-    if len(tg) ** max_length > ENUMERATION_GUARD:
+    n_gates = len(gate_arrays(wires)[0])
+    if n_gates ** max_length > ENUMERATION_GUARD:
         raise ValueError(
-            f"{len(tg)}^{max_length} sequences exceed the enumeration guard "
+            f"{n_gates}^{max_length} sequences exceed the enumeration guard "
             f"({ENUMERATION_GUARD:.0e})"
         )
-    init_rows = np.array(
-        wire_patterns(wires, target.n_inputs, constant_fill), dtype=np.uint64
+    root = np.array(
+        [wire_patterns(wires, target.n_inputs, constant_fill)], dtype=np.uint64
     )
-    target_row = np.uint64(target.rows[0])
     counts = np.zeros(max_length + 1, dtype=np.int64)
-    be = _resolve_backend(backend)
-    if be == "numba":
-        _minscan_numba(tg, ca, cb, init_rows, target_row, max_length, prune, counts)
-    else:
-        py_counts = [0] * (max_length + 1)
-        _minscan_python(
-            [int(x) for x in tg], [int(x) for x in ca], [int(x) for x in cb],
-            [int(x) for x in init_rows], int(target_row), max_length, prune, py_counts,
-        )
-        counts = np.array(py_counts, dtype=np.int64)
+    _scan_level(
+        root, np.array([-1]), 1, max_length, np.uint64(target.rows[0]), prune, counts
+    )
     return {length: int(counts[length]) for length in range(1, max_length + 1)}

@@ -26,6 +26,8 @@ from .core import (
     Circuit,
     Gate,
     enumerate_gates,
+    evaluate_batch,
+    gate_arrays,
     random_circuit,
     wire_patterns,
 )
@@ -180,6 +182,13 @@ class _FitnessEngine:
             self._target_rows = np.array(
                 [np.uint64(r) for r in target.rows], dtype=np.uint64
             )
+            # Gate code of every (target, control, control) slot triple, in
+            # either control order, flattened as (t * W + a) * W + b.
+            tg, ca, cb = gate_arrays(wires)
+            codes = np.arange(len(tg))
+            self._gate_code = np.zeros(wires**3, dtype=np.intp)
+            self._gate_code[(tg * wires + ca) * wires + cb] = codes
+            self._gate_code[(tg * wires + cb) * wires + ca] = codes
 
     def score_population(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fitness of every genome; genomes is (pop, length, 3) slot arrays.
@@ -187,14 +196,11 @@ class _FitnessEngine:
         Returns (fitness, best_wire) where best_wire is -1 under fixed
         scoring.
         """
-        pop, length, _ = genomes.shape
+        pop = genomes.shape[0]
         if self._machine_word:
-            rows = np.broadcast_to(self._init_rows, (pop, self.wires)).copy()
-            ar = np.arange(pop)
-            for j in range(length):
-                rows[ar, genomes[:, j, 0]] ^= (
-                    rows[ar, genomes[:, j, 1]] & rows[ar, genomes[:, j, 2]]
-                )
+            t, a, b = genomes[..., 0], genomes[..., 1], genomes[..., 2]
+            codes = self._gate_code.take((t * self.wires + a) * self.wires + b)
+            rows = evaluate_batch(codes, self._init_rows)
             if self.scoring == "best":
                 fits_all = self.cases - np.bitwise_count(
                     rows ^ self._target_rows[0]

@@ -273,10 +273,15 @@ def test_recipe_rejects_unknown_id(tmp_path):
         run_recipe("fig4", scale="huge", out_dir=tmp_path)
 
 
-def test_cli_reports_domain_errors(tmp_path):
+def test_cli_reports_domain_errors(tmp_path, capsys):
     rc = main(["sample", "--wires", "5", "--lengths", "3", "--samples", "10",
                "--workers", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 1  # six-multiplexor needs 6 wires
     rc = main(["sample", "--wires", "6", "--lengths", "bad", "--samples", "10",
                "--workers", "1"])
     assert rc == 1
+    capsys.readouterr()
+    rc = main(["sample", "--wires", "6", "--lengths", "3", "--samples", "10",
+               "--workers", "2", "--checkpoint", str(tmp_path / "ck.json")])
+    assert rc == 1  # a checkpointed run is serial
+    assert "workers=1" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Batch sampling engine, determinism, checkpoints, exhaustive scans."""
 
+import hashlib
 import itertools
 import json
 
@@ -8,9 +9,11 @@ import pytest
 
 from revcirc.core import Circuit, enumerate_gates, evaluate
 from revcirc.fitness import (
+    DEFAULT_OUTPUT,
     OutputMap,
     TargetTable,
     hamming_fitness,
+    hamming_fitness_scalar,
     six_multiplexor_target,
 )
 from revcirc.sampling import (
@@ -38,16 +41,72 @@ def test_histogram_determinism():
     assert a.total == 60_000 == int(a.counts.sum())
 
 
-def test_numpy_backend_matches_numba():
-    pytest.importorskip("numba")
-    for wires, length in ((6, 1), (6, 5), (7, 20), (12, 7)):
-        fast = sample_fitness_histogram(
-            wires, length, 40_000, seed=4, target=TARGET, backend="numba"
-        )
-        slow = sample_fitness_histogram(
-            wires, length, 40_000, seed=4, target=TARGET, backend="numpy"
-        )
-        assert np.array_equal(fast.counts, slow.counts)
+# SHA-256 of sample_fitness_histogram(wires, length, 40_000, seed, TARGET)
+# counts as little-endian int64, recorded from the engine this one replaced;
+# the gate draws are unchanged, so every count must stay byte-identical.
+HISTOGRAM_DIGESTS = {
+    (6, 0, 3): "f17a2f2531930543d8a05def1aafbb3c877b447e7639752508e2dbb279c8b5c0",
+    (6, 0, 11): "f17a2f2531930543d8a05def1aafbb3c877b447e7639752508e2dbb279c8b5c0",
+    (6, 1, 3): "d63493129543d1aa2709c3f8025369e710b0dd6ff0745b9cd17547a37540ba3a",
+    (6, 1, 11): "d7a66439e688cd3e660b77a104a92ea56f3bec349a293857ff825a58db88d705",
+    (6, 5, 3): "a8cf33364aea196f5a522b3b1c8458c8de1ba4a5f6bcb3195b68fa85e603b940",
+    (6, 5, 11): "ac4d1ee03128affab335eda7aee7271fdda4cf4c3f12561b5f374807a60ebddb",
+    (6, 20, 3): "4b8c47d2d8075f58633acd7b10c7cd7dbe7080efb4f49c6ebf52dd050968174b",
+    (6, 20, 11): "16e2ae09556ae219429c7037953d1d82a139c22b6d8abc061cf0e79e45738457",
+    (6, 100, 3): "b9525dadc71197669c6f27c1a5eff51441e6ecca11c2b0670fb90b5d254d83ae",
+    (6, 100, 11): "8c419bd79a8fce37bb1550b18748037d5c050e8e3259f329a1348cccd21a62e8",
+    (7, 0, 3): "f17a2f2531930543d8a05def1aafbb3c877b447e7639752508e2dbb279c8b5c0",
+    (7, 0, 11): "f17a2f2531930543d8a05def1aafbb3c877b447e7639752508e2dbb279c8b5c0",
+    (7, 1, 3): "04eab3e737a6d2883c25bdce477b6c4a561a53f0024c1b855a7496d575935652",
+    (7, 1, 11): "af0681491249ce7a304c12d08d42b07ced67e058e83d2b0158fa67a03df75549",
+    (7, 5, 3): "8cb4b9778b5cd92a2f375fc66466e9d44b15197407fa6e5d2621bd5381c6d34d",
+    (7, 5, 11): "e445dca7895c2d831a6604976f7ceb5e145cb39c4a616adca2044a48750ef538",
+    (7, 20, 3): "1c36acc9ee30c83dd00bc317fa0edcbd646d2b1dd339a4c5f4f6263b79703da4",
+    (7, 20, 11): "b6942ba90d729cdb90e7065032fca456f8b073eeddef8156d3a9acf3b461f4e9",
+    (7, 100, 3): "bc4a85103080422ddb42b4d575000d7eeb554d4fefe2d3f596ecc4197bf9affd",
+    (7, 100, 11): "dae8520b7d3664817fd14354bd1628dad605595d5fe059074f6a8a9b303df510",
+    (12, 0, 3): "f17a2f2531930543d8a05def1aafbb3c877b447e7639752508e2dbb279c8b5c0",
+    (12, 0, 11): "f17a2f2531930543d8a05def1aafbb3c877b447e7639752508e2dbb279c8b5c0",
+    (12, 1, 3): "1ed4ba086b3eb4d5ec344fbbef2578662e1627b0ed8da819b8e2b53d43e14666",
+    (12, 1, 11): "5e8824dbb3b482bd72512e185e3500ec30d4acdfb23d7936497da58b47ca87e6",
+    (12, 5, 3): "e7c4fa466b33cda41077f9cbcfea505f1eef7cd28a688bdfeed277b9e9fce0bc",
+    (12, 5, 11): "a982afd406defb51fdfaa56f03feb5bd1e156ac5e688864398e84ae4b9ef708c",
+    (12, 20, 3): "b7d5fa77344f2ab204de655fa5590f4185ed057f70f8ed798d9bc8ebf27b3bcb",
+    (12, 20, 11): "08055d9c42d321f6c3840872a1baaee3355b831b05d7fe728e52632e36c1a5a2",
+    (12, 100, 3): "0ca11a68d40210d891ab5357bc599c901105ec56f67751cce265651b461ddefd",
+    (12, 100, 11): "54ae34c6acd2843cdc67612714df4f274ab741f2eb13bd40ac4a3ebe31f8de3a",
+}
+
+
+@pytest.mark.parametrize("wires,length,seed", sorted(HISTOGRAM_DIGESTS))
+def test_histogram_digests_are_pinned(wires, length, seed):
+    hist = sample_fitness_histogram(wires, length, 40_000, seed=seed, target=TARGET)
+    digest = hashlib.sha256(hist.counts.astype("<i8").tobytes()).hexdigest()
+    assert digest == HISTOGRAM_DIGESTS[wires, length, seed]
+
+
+@pytest.mark.parametrize(
+    "wires,length,outputs,fill",
+    [(6, 7, DEFAULT_OUTPUT, 1), (7, 12, OutputMap((3,)), 0), (12, 20, OutputMap((9,)), 1)],
+)
+def test_engine_matches_scalar_oracle(wires, length, outputs, fill):
+    """Rebuild every circuit of two small chunks from the chunks' own draws
+    and score it case by case; the engine's histogram must be identical."""
+    gates = enumerate_gates(wires)
+    samples, chunk = 160, 100
+    expected = np.zeros(65, dtype=np.int64)
+    for c in range(2):
+        rng = np.random.default_rng(np.random.SeedSequence([5, length, c]))
+        batch = min(chunk, samples - c * chunk)
+        draws = rng.integers(0, len(gates), size=(batch, length), dtype=np.uint16)
+        for row in draws:
+            circuit = Circuit(wires, [gates[g] for g in row], 6, constant_fill=fill)
+            expected[hamming_fitness_scalar(circuit, TARGET, outputs).raw] += 1
+    hist = sample_fitness_histogram(
+        wires, length, samples, seed=5, target=TARGET, outputs=outputs,
+        constant_fill=fill, chunk_size=chunk,
+    )
+    assert np.array_equal(hist.counts, expected)
 
 
 def test_worker_split_is_invisible():
@@ -113,7 +172,7 @@ def test_config_validation():
         ExperimentConfig(wires=6, lengths=(5,), samples_per_length=0, target=TARGET)
     with pytest.raises(ValueError):
         ExperimentConfig(wires=5, lengths=(5,), samples_per_length=1, target=TARGET)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # unknown fields are refused
         ExperimentConfig(wires=6, lengths=(5,), samples_per_length=1, target=TARGET,
                          backend="gpu")
 
@@ -165,6 +224,30 @@ def test_checkpoint_with_other_config_is_ignored(tmp_path):
     assert np.array_equal(fresh[0].counts, direct[0].counts)
 
 
+def test_checkpoint_of_another_target_is_ignored(tmp_path):
+    ck = tmp_path / "ck.json"
+    parity = TargetTable.from_function(6, 1, lambda t: bin(t).count("1") & 1)
+    mux = ExperimentConfig(
+        wires=7, lengths=(3,), samples_per_length=40_000, target=TARGET, seed=4
+    )
+    sample_distribution(mux, checkpoint_path=ck)
+    cfg = ExperimentConfig(
+        wires=7, lengths=(3,), samples_per_length=40_000, target=parity, seed=4
+    )
+    resumed = sample_distribution(cfg, checkpoint_path=ck)
+    fresh = sample_distribution(cfg)
+    assert np.array_equal(resumed[0].counts, fresh[0].counts)
+
+
+def test_checkpoint_with_workers_is_refused(tmp_path):
+    cfg = ExperimentConfig(
+        wires=6, lengths=(3,), samples_per_length=1000, target=TARGET, workers=2
+    )
+    with pytest.raises(ValueError, match="workers=1"):
+        sample_distribution(cfg, checkpoint_path=tmp_path / "ck.json")
+    assert not (tmp_path / "ck.json").exists()
+
+
 def test_solution_density_against_exact_rate():
     """At length 1 on 6 wires, a circuit leaves wire 0 carrying D0 exactly
     when its gate does not target wire 0: 75 of the 90 gates."""
@@ -200,7 +283,7 @@ def test_convergence_series_checks_support():
         convergence_series([hist], model)  # no materialized pmf
 
 
-def brute_force_scan(wires, max_length, target, prune):
+def brute_force_scan(wires, max_length, target, prune, fill=1):
     gates = enumerate_gates(wires)
     counts = {}
     for length in range(1, max_length + 1):
@@ -208,7 +291,9 @@ def brute_force_scan(wires, max_length, target, prune):
         for combo in itertools.product(range(len(gates)), repeat=length):
             if prune and any(a == b for a, b in zip(combo, combo[1:])):
                 continue
-            c = Circuit(wires, [gates[i] for i in combo], n_inputs=target.n_inputs)
+            c = Circuit(
+                wires, [gates[i] for i in combo], target.n_inputs, constant_fill=fill
+            )
             rows = evaluate(c).wire_rows
             n += sum(rows[w] == target.rows[0] for w in range(wires))
         counts[length] = n
@@ -228,12 +313,15 @@ def test_min_scan_matches_brute_force():
     assert any(full[k] > 0 for k in full)
 
 
-def test_min_scan_backends_agree():
-    pytest.importorskip("numba")
-    target = TargetTable(3, 1, (evaluate(Circuit(3, [enumerate_gates(3)[0]])).wire_rows[0],))
-    a = exhaustive_min_scan(3, 4, target, backend="numba")
-    b = exhaustive_min_scan(3, 4, target, backend="numpy")
-    assert a == b
+@pytest.mark.parametrize("prune", [False, True])
+@pytest.mark.parametrize("fill", [0, 1])
+def test_min_scan_matches_brute_force_on_four_wires(prune, fill):
+    gates4 = enumerate_gates(4)
+    made = Circuit(4, [gates4[3], gates4[17], gates4[8]], 3, constant_fill=fill)
+    target = TargetTable(3, 1, (evaluate(made).wire_rows[2],))
+    fast = exhaustive_min_scan(4, 3, target, constant_fill=fill, prune=prune)
+    assert fast == brute_force_scan(4, 3, target, prune, fill)
+    assert fast[3] > 0
 
 
 def test_min_scan_prune_is_sound_for_minimality():
