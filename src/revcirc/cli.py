@@ -45,8 +45,8 @@ from .sampling import (
     ExperimentConfig,
     convergence_series,
     exhaustive_min_scan,
-    poisson_interval,
     sample_distribution,
+    solution_density,
 )
 from .search import GAConfig, RunRecord, evolve, hill_climb, koza_effort
 from .theory import (
@@ -189,7 +189,7 @@ def _cmd_converge(args) -> int:
 def _cmd_density(args) -> int:
     target = _load_target(args.target)
     config = _experiment_config(args, target)
-    rows = _density_rows(config)
+    rows = solution_density(config)
     stream = _out_stream(args.out)
     try:
         _write_csv(stream, ["length", "count", "rate", "ci_lo", "ci_hi"], rows)
@@ -197,15 +197,6 @@ def _cmd_density(args) -> int:
         if args.out is not None:
             stream.close()
     return 0
-
-
-def _density_rows(config: ExperimentConfig):
-    rows = []
-    for hist in sample_distribution(config):
-        k = hist.solutions()
-        lo, hi = poisson_interval(k)
-        rows.append((hist.length, k, k / hist.total, lo / hist.total, hi / hist.total))
-    return rows
 
 
 def _cmd_minscan(args) -> int:
@@ -629,7 +620,9 @@ def _recipe_fig10(seed, samples, runs, generations, workers, out_dir):
         seed=seed, workers=workers,
     )
     path = out_dir / "fig10_density_w6.csv"
-    _write_csv(path, ["length", "count", "rate", "ci_lo", "ci_hi"], _density_rows(config))
+    _write_csv(
+        path, ["length", "count", "rate", "ci_lo", "ci_hi"], solution_density(config)
+    )
     return {"wires": 6, "lengths": list(lengths)}, [path]
 
 
@@ -798,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="fitness histograms of random circuits")
     _add_sampling_flags(p, with_output_wire=True)
     p.add_argument("--checkpoint", default=None,
-                   help="checkpoint file for resumable runs (serial: needs --workers 1)")
+                   help="checkpoint file for resumable runs")
     p.add_argument("--keep-zeros", action="store_true", help="emit zero-count rows")
     p.set_defaults(func=_cmd_sample)
 

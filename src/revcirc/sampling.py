@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -128,6 +131,8 @@ def sample_fitness_histogram(
     """
     if target.case_count > 64:
         raise ValueError("sampling engine packs cases into one word (n <= 6)")
+    if len(outputs) != target.m_outputs:
+        raise ValueError("output map arity does not match target")
     n_gates = len(gate_arrays(wires)[0])
     init_rows = np.array(
         wire_patterns(wires, target.n_inputs, constant_fill), dtype=np.uint64
@@ -158,16 +163,6 @@ def sample_fitness_histogram(
     return FitnessHistogram(length, counts, int(counts.sum()))
 
 
-def _histogram_slice(args) -> np.ndarray:
-    """Worker entry point: counts for one contiguous chunk range."""
-    (wires, length, samples, seed, target, outputs, fill, first, stop) = args
-    hist = sample_fitness_histogram(
-        wires, length, samples, seed, target, outputs, fill,
-        first_chunk=first, stop_chunk=stop,
-    )
-    return hist.counts
-
-
 def sample_distribution(
     config: ExperimentConfig,
     checkpoint_path: str | Path | None = None,
@@ -175,105 +170,61 @@ def sample_distribution(
 ) -> list[FitnessHistogram]:
     """One histogram per configured length.
 
-    With `checkpoint_path`, progress is streamed to disk roughly every
-    `checkpoint_every` samples and an interrupted run resumes exactly where
-    it stopped (chunk-seeded generators make the resumed histogram
-    bit-identical to an uninterrupted one).
+    Each length's chunks are scored in blocks, and each block is split into
+    `workers` contiguous chunk ranges (scored in parallel processes when
+    `workers > 1`).  Without `checkpoint_path` one block holds every chunk.
+    With it, a block holds about `checkpoint_every` samples (at least one
+    chunk per worker), and after every block the checkpoint file stores
+    (chunks done, counts) for that length; a rerun resumes from it.
+    Because every chunk seeds its own generator, any block split, worker
+    count or resume gives bit-identical histograms.
 
-    With `workers > 1`, each length's chunks are split into contiguous
-    ranges scored in parallel processes; because every chunk seeds its own
-    generator, the merged histogram is identical to a serial run.  A
-    checkpointed run is serial, so asking for both raises ValueError.
+    The checkpoint file is one JSON object keyed per length by everything
+    that length's counts depend on; entries under other keys are kept.
     """
-    if config.workers > 1:
-        if checkpoint_path is not None:
-            raise ValueError(
-                "a checkpointed run is serial: set workers=1 (--workers 1)"
-            )
-        return _sample_distribution_parallel(config)
-    done: dict[int, np.ndarray] = {}
-    cursor_length_idx, cursor_chunk, partial = 0, 0, None
+    store = {}
     if checkpoint_path is not None:
         checkpoint_path = Path(checkpoint_path)
         if checkpoint_path.exists():
-            state = json.loads(checkpoint_path.read_text())
-            if state["config_key"] == _config_key(config):
-                for k, v in state["done"].items():
-                    done[int(k)] = np.array(v, dtype=np.int64)
-                cursor_length_idx = state["length_idx"]
-                cursor_chunk = state["chunk"]
-                if state["partial"] is not None:
-                    partial = np.array(state["partial"], dtype=np.int64)
-
-    results: list[FitnessHistogram] = []
-    chunks_per_checkpoint = max(1, checkpoint_every // CHUNK_SIZE)
-    for li, length in enumerate(config.lengths):
-        if length in done:
-            counts = done[length]
-            results.append(FitnessHistogram(length, counts, int(counts.sum())))
-            continue
-        start_chunk = cursor_chunk if li == cursor_length_idx else 0
-        start_counts = partial if li == cursor_length_idx else None
-        if checkpoint_path is None:
-            hist = sample_fitness_histogram(
-                config.wires, length, config.samples_per_length, config.seed,
-                config.target, config.outputs, config.constant_fill,
-            )
-        else:
-            counts = (
-                np.zeros(config.target.max_fitness + 1, dtype=np.int64)
-                if start_counts is None
-                else start_counts.copy()
-            )
-            n_chunks = (config.samples_per_length + CHUNK_SIZE - 1) // CHUNK_SIZE
-            c = start_chunk
-            while c < n_chunks:
-                stop = min(n_chunks, c + chunks_per_checkpoint)
-                sampled_after = min(config.samples_per_length, stop * CHUNK_SIZE)
-                hist = sample_fitness_histogram(
-                    config.wires, length, sampled_after, config.seed,
-                    config.target, config.outputs, config.constant_fill,
-                    first_chunk=c, initial_counts=counts,
-                )
-                counts = hist.counts
-                c = stop
-                _write_checkpoint(
-                    checkpoint_path, config, done, li, c,
-                    None if c >= n_chunks else counts,
-                )
-            hist = FitnessHistogram(length, counts, int(counts.sum()))
-        done[length] = hist.counts
-        if checkpoint_path is not None:
-            _write_checkpoint(checkpoint_path, config, done, li + 1, 0, None)
-        results.append(hist)
-    return results
-
-
-def _sample_distribution_parallel(config: ExperimentConfig) -> list[FitnessHistogram]:
-    from concurrent.futures import ProcessPoolExecutor
-
+            store = json.loads(checkpoint_path.read_text())
+    n_chunks = (config.samples_per_length + CHUNK_SIZE - 1) // CHUNK_SIZE
+    block = (
+        n_chunks if checkpoint_path is None
+        else max(config.workers, checkpoint_every // CHUNK_SIZE)
+    )
+    parallel = config.workers > 1
     results = []
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    with ProcessPoolExecutor(config.workers) if parallel else nullcontext() as pool:
         for length in config.lengths:
-            n_chunks = (config.samples_per_length + CHUNK_SIZE - 1) // CHUNK_SIZE
-            w = min(config.workers, n_chunks)
-            bounds = [round(i * n_chunks / w) for i in range(w + 1)]
-            jobs = [
-                (
-                    config.wires, length, config.samples_per_length, config.seed,
-                    config.target, config.outputs, config.constant_fill,
-                    bounds[i], bounds[i + 1],
-                )
-                for i in range(w)
-            ]
-            counts = sum(pool.map(_histogram_slice, jobs))
+            key = _length_key(config, length)
+            done, counts = store.get(key, (0, [0] * (config.target.max_fitness + 1)))
+            counts = np.array(counts, dtype=np.int64)
+            score = partial(
+                sample_fitness_histogram, config.wires, length,
+                config.samples_per_length, config.seed, config.target,
+                config.outputs, config.constant_fill, CHUNK_SIZE,
+            )
+            while done < n_chunks:
+                stop = min(n_chunks, done + block)
+                w = min(config.workers, stop - done)
+                bounds = [done + round(i * (stop - done) / w) for i in range(w + 1)]
+                ranges = (bounds[:-1], bounds[1:])
+                for hist in (pool.map if parallel else map)(score, *ranges):
+                    counts += hist.counts
+                done = stop
+                if checkpoint_path is not None:
+                    store[key] = [done, counts.tolist()]
+                    tmp = Path(str(checkpoint_path) + ".tmp")
+                    tmp.write_text(json.dumps(store))
+                    tmp.replace(checkpoint_path)
             results.append(FitnessHistogram(length, counts, int(counts.sum())))
     return results
 
 
-def _config_key(config: ExperimentConfig) -> str:
+def _length_key(config: ExperimentConfig, length: int) -> str:
+    """Everything one length's counts depend on."""
     return (
-        f"w{config.wires}|L{','.join(map(str, config.lengths))}"
+        f"w{config.wires}|L{length}"
         f"|s{config.samples_per_length}|seed{config.seed}"
         f"|out{','.join(map(str, config.outputs.wire_of_output))}"
         f"|fill{config.constant_fill}"
@@ -281,19 +232,6 @@ def _config_key(config: ExperimentConfig) -> str:
         f"|rows{','.join(f'{r:x}' for r in config.target.rows)}"
         f"|chunk{CHUNK_SIZE}"
     )
-
-
-def _write_checkpoint(path, config, done, length_idx, chunk, partial):
-    state = {
-        "config_key": _config_key(config),
-        "done": {str(k): v.tolist() for k, v in done.items()},
-        "length_idx": length_idx,
-        "chunk": chunk,
-        "partial": None if partial is None else partial.tolist(),
-    }
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(json.dumps(state))
-    tmp.replace(path)
 
 
 def convergence_series(

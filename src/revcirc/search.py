@@ -40,7 +40,6 @@ from .fitness import (
 )
 
 __all__ = [
-    "MutationOp",
     "GAConfig",
     "RunRecord",
     "mutate",
@@ -54,55 +53,13 @@ __all__ = [
 WireScoring = OutputMap | Literal["best"]
 
 
-def _slot_alternatives(gate: Gate, slot: int, wires: int) -> list[int]:
-    """Legal replacement wires for one slot of a gate.
-
-    Slot 0 is the target (must avoid both controls and its current value);
-    slots 1 and 2 are the controls (must avoid the target and their own
-    current value; matching the other control is allowed).
-    """
-    t, a, b = gate.target, gate.control_a, gate.control_b
-    if slot == 0:
-        banned = {t, a, b}
-    elif slot == 1:
-        banned = {a, t}
-    else:
-        banned = {b, t}
-    return [w for w in range(wires) if w not in banned]
-
-
-def _apply_slot(gate: Gate, slot: int, wire: int) -> Gate:
-    if slot == 0:
-        return Gate(wire, gate.control_a, gate.control_b)
-    if slot == 1:
-        return Gate(gate.target, wire, gate.control_b)
-    return Gate(gate.target, gate.control_a, wire)
-
-
-@dataclass(frozen=True)
-class MutationOp:
-    """Stateless single-wire mutation: uniformly pick a gate, one of its
-    three wire slots, and a legal different wire for that slot."""
-
-    def __call__(self, circuit: Circuit, rng: np.random.Generator) -> Circuit:
-        return mutate(circuit, rng)
-
-
 def mutate(circuit: Circuit, rng: np.random.Generator) -> Circuit:
     """One uniform single-wire mutation; never returns the input circuit."""
     if len(circuit) < 1:
         raise ValueError("cannot mutate an empty circuit")
-    gi = int(rng.integers(0, len(circuit)))
-    gate = circuit.gates[gi]
-    slots = [0, 1, 2]
-    while slots:
-        slot = slots[int(rng.integers(0, len(slots)))] if len(slots) < 3 else int(rng.integers(0, 3))
-        alts = _slot_alternatives(gate, slot, circuit.wires)
-        if alts:
-            new_wire = alts[int(rng.integers(0, len(alts)))]
-            return circuit.replace_gate(gi, _apply_slot(gate, slot, new_wire))
-        slots.remove(slot)
-    raise ValueError("gate has no legal single-wire mutants")
+    genome = _FitnessEngine.circuit_to_genome(circuit)
+    gi = _mutate_genome_inplace(genome, circuit.wires, rng)
+    return circuit.replace_gate(gi, Gate(*(int(x) for x in genome[gi])))
 
 
 def neighborhood_size(circuit: Circuit) -> int:
@@ -176,9 +133,9 @@ class _FitnessEngine:
         if scoring == "best" and target.m_outputs != 1:
             raise ValueError("'best' scoring applies to single-output targets")
         self._machine_word = self.cases <= 64
-        pats = wire_patterns(wires, n_inputs, constant_fill)
+        self._patterns = wire_patterns(wires, n_inputs, constant_fill)
         if self._machine_word:
-            self._init_rows = np.array(pats, dtype=np.uint64)
+            self._init_rows = np.array(self._patterns, dtype=np.uint64)
             self._target_rows = np.array(
                 [np.uint64(r) for r in target.rows], dtype=np.uint64
             )
@@ -219,7 +176,7 @@ class _FitnessEngine:
         return fits, wires_out
 
     def score_genome(self, genome: np.ndarray) -> tuple[int, int]:
-        rows = wire_patterns(self.wires, self.n_inputs, self.constant_fill)
+        rows = list(self._patterns)
         for t, a, b in genome:
             rows[t] ^= rows[a] & rows[b]
         if self.scoring == "best":
@@ -251,13 +208,20 @@ class _FitnessEngine:
 
 def _mutate_genome_inplace(
     genome: np.ndarray, wires: int, rng: np.random.Generator
-) -> None:
-    """Vectorless twin of `mutate` acting on one (length, 3) slot array."""
+) -> int:
+    """Rewrite one wire of one gate of a (length, 3) slot array in place.
+
+    Picks a gate uniformly, then one of its three slots, then a legal
+    different wire for that slot: the target (slot 0) must avoid both
+    controls; a control (slot 1 or 2) must avoid the target and may match
+    the other control.  A slot with no legal wire is dropped and another
+    drawn.  Returns the index of the changed gate.
+    """
     gi = int(rng.integers(0, genome.shape[0]))
     t, a, b = (int(x) for x in genome[gi])
     slots = [0, 1, 2]
     while slots:
-        slot = slots[int(rng.integers(0, len(slots)))] if len(slots) < 3 else int(rng.integers(0, 3))
+        slot = slots[int(rng.integers(0, len(slots)))]
         if slot == 0:
             banned = {t, a, b}
         elif slot == 1:
@@ -267,7 +231,7 @@ def _mutate_genome_inplace(
         alts = [w for w in range(wires) if w not in banned]
         if alts:
             genome[gi, slot] = alts[int(rng.integers(0, len(alts)))]
-            return
+            return gi
         slots.remove(slot)
     raise ValueError("gate has no legal single-wire mutants")
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: flags, CSV schemas, logs, recipes, manifests."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -266,6 +267,45 @@ def test_recipe_table1_smoke(tmp_path):
     assert (tmp_path / "manifest.json").exists()
 
 
+# SHA-256 of every CSV of the sampling recipes at seed 3 and 4096 samples
+# per length, recorded before the sampler's block loop replaced its serial,
+# checkpointed and parallel paths; the draws are unchanged, so every byte
+# must be too.
+RECIPE_CSV_DIGESTS = {
+    "fig4": {
+        "fig4_hist_w6.csv": "d9501bc4e92d910df98634b060dadefce4e2e17934ac1f36c9bca2b18b4793d3",
+    },
+    "fig5": {
+        "fig5_prob_w6.csv": "96ba779db2cfb1c1063ec31b1e46b0d3dc7b0f203cc5fc3a687a43c948911394",
+    },
+    "fig6": {
+        "fig6_hist_w7.csv": "97df9fe453b471115d3630ee3335b99b4658d5986bb2c6ff9bc597cebb1d78c7",
+    },
+    "fig7": {
+        "fig7_series_w12.csv": "22d6d0bbb0d851af6600a81cf1c17be4b89b0a03fa307fbce1a9e735433bb5ab",
+        "fig7_series_w6.csv": "6636930e126efd233d832220a3b045659a94cf0b8d23409917fa511720f3e3c0",
+        "fig7_series_w7.csv": "8a9981c48e23f8d4e0ccbf4a93a13009c69221f1022d5e79a436797debefc5ba",
+        "fig7_tvd.csv": "41b1e97acd90d345c4700ae260bba16bf85307a7bdd4317f92c5b299913c1354",
+    },
+    "fig8": {
+        "fig8_mean_sd.csv": "db7b521e8538e21a5cc162da92a26092ce1c1bb00b6b25e8e84171d2461d98e5",
+    },
+    "fig10": {
+        "fig10_density_w6.csv": "677f70ef02b57b20f0440748d1c11fce34de0aa976260c550965caadc3fa3230",
+    },
+}
+
+
+@pytest.mark.parametrize("recipe_id", sorted(RECIPE_CSV_DIGESTS))
+def test_sampling_recipe_csvs_are_pinned(tmp_path, recipe_id):
+    manifest = run_recipe(recipe_id, seed=3, out_dir=tmp_path, samples=4096)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in manifest["artifacts"]
+    }
+    assert digests == RECIPE_CSV_DIGESTS[recipe_id]
+
+
 def test_recipe_rejects_unknown_id(tmp_path):
     with pytest.raises(ValueError):
         run_recipe("fig99", out_dir=tmp_path)
@@ -281,7 +321,11 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
                "--workers", "1"])
     assert rc == 1
     capsys.readouterr()
-    rc = main(["sample", "--wires", "6", "--lengths", "3", "--samples", "10",
-               "--workers", "2", "--checkpoint", str(tmp_path / "ck.json")])
-    assert rc == 1  # a checkpointed run is serial
-    assert "workers=1" in capsys.readouterr().err
+    # Workers and checkpoints compose: same CSV as a serial run.
+    sample = ["sample", "--wires", "6", "--lengths", "3,5", "--samples", "70000"]
+    rc = main(sample + ["--workers", "2", "--checkpoint", str(tmp_path / "ck.json"),
+                        "--out", str(tmp_path / "parallel.csv")])
+    assert rc == 0 and capsys.readouterr().err == ""
+    assert main(sample + ["--workers", "1", "--out", str(tmp_path / "serial.csv")]) == 0
+    serial = (tmp_path / "serial.csv").read_bytes()
+    assert (tmp_path / "parallel.csv").read_bytes() == serial

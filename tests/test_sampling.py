@@ -1,12 +1,14 @@
 """Batch sampling engine, determinism, checkpoints, exhaustive scans."""
 
 import hashlib
+import inspect
 import itertools
-import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from revcirc import sampling
 from revcirc.core import Circuit, enumerate_gates, evaluate
 from revcirc.fitness import (
     DEFAULT_OUTPUT,
@@ -17,6 +19,7 @@ from revcirc.fitness import (
     six_multiplexor_target,
 )
 from revcirc.sampling import (
+    CHUNK_SIZE,
     ExperimentConfig,
     FitnessHistogram,
     convergence_series,
@@ -186,42 +189,84 @@ def test_sampler_rejects_wide_targets():
                                  outputs=OutputMap((6,)))
 
 
-def test_checkpoint_resume_is_bit_identical(tmp_path):
+def test_sampler_rejects_output_map_arity_mismatch():
+    two_out = TargetTable.from_function(6, 2, lambda t: t & 3)
+    with pytest.raises(ValueError, match="arity"):
+        sample_fitness_histogram(6, 3, 100, seed=0, target=two_out)
+    with pytest.raises(ValueError, match="arity"):
+        sample_fitness_histogram(6, 3, 100, seed=0, target=TARGET,
+                                 outputs=OutputMap((0, 1)))
+    cfg = ExperimentConfig(wires=6, lengths=(3,), samples_per_length=100,
+                           target=two_out)
+    with pytest.raises(ValueError, match="arity"):
+        sample_distribution(cfg)
+
+
+class Interrupted(Exception):
+    pass
+
+
+def record_chunk_ranges(monkeypatch, fail_after=None):
+    """Route the sampler's chunk-range calls through a recorder.
+
+    Returns the list of (length, first_chunk, stop_chunk) calls made; with
+    `fail_after`, the call after that many raises Interrupted, as a killed
+    run would stop.
+    """
+    calls = []
+
+    def recorded(*args, **kwargs):
+        if len(calls) == fail_after:
+            raise Interrupted
+        bound = inspect.signature(sample_fitness_histogram).bind(*args, **kwargs)
+        bound.apply_defaults()
+        arg = bound.arguments
+        calls.append((arg["length"], arg["first_chunk"], arg["stop_chunk"]))
+        return sample_fitness_histogram(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "sample_fitness_histogram", recorded)
+    return calls
+
+
+def test_checkpoint_resume_is_bit_identical(tmp_path, monkeypatch):
     cfg = ExperimentConfig(
         wires=6, lengths=(2, 4), samples_per_length=70_000, target=TARGET, seed=12
     )
     direct = sample_distribution(cfg)
-    ck = tmp_path / "ck.json"
-    streamed = sample_distribution(cfg, checkpoint_path=ck, checkpoint_every=30_000)
+    streamed = sample_distribution(
+        cfg, checkpoint_path=tmp_path / "streamed.json", checkpoint_every=30_000
+    )
     for a, b in zip(direct, streamed):
         assert np.array_equal(a.counts, b.counts)
-    # Simulate an interruption after length 2 and one chunk of length 4.
-    partial = sample_fitness_histogram(6, 4, 32_768, seed=12, target=TARGET)
-    state = json.loads(ck.read_text())
-    state.update(
-        done={"2": direct[0].counts.tolist()},
-        length_idx=1,
-        chunk=1,
-        partial=partial.counts.tolist(),
-    )
-    ck.write_text(json.dumps(state))
-    resumed = sample_distribution(cfg, checkpoint_path=ck)
+    # Stop a real run after length 2 (three chunks) and one chunk of length 4.
+    ck = tmp_path / "ck.json"
+    record_chunk_ranges(monkeypatch, fail_after=4)
+    with pytest.raises(Interrupted):
+        sample_distribution(cfg, checkpoint_path=ck, checkpoint_every=CHUNK_SIZE)
+    calls = record_chunk_ranges(monkeypatch)
+    resumed = sample_distribution(cfg, checkpoint_path=ck, checkpoint_every=CHUNK_SIZE)
+    assert calls == [(4, 1, 2), (4, 2, 3)]  # only the chunks never scored
     for a, b in zip(direct, resumed):
         assert np.array_equal(a.counts, b.counts)
+        assert a.total == b.total == 70_000
 
 
-def test_checkpoint_with_other_config_is_ignored(tmp_path):
+def test_checkpoint_with_other_config_is_ignored(tmp_path, monkeypatch):
     ck = tmp_path / "ck.json"
     cfg_a = ExperimentConfig(
         wires=6, lengths=(3,), samples_per_length=40_000, target=TARGET, seed=1
     )
-    sample_distribution(cfg_a, checkpoint_path=ck)
+    first = sample_distribution(cfg_a, checkpoint_path=ck)
     cfg_b = ExperimentConfig(
         wires=6, lengths=(3,), samples_per_length=40_000, target=TARGET, seed=2
     )
     fresh = sample_distribution(cfg_b, checkpoint_path=ck)
     direct = sample_distribution(cfg_b)
     assert np.array_equal(fresh[0].counts, direct[0].counts)
+    calls = record_chunk_ranges(monkeypatch)
+    again = sample_distribution(cfg_a, checkpoint_path=ck)
+    assert calls == []  # cfg_a's finished entry survived cfg_b's run
+    assert np.array_equal(again[0].counts, first[0].counts)
 
 
 def test_checkpoint_of_another_target_is_ignored(tmp_path):
@@ -239,13 +284,36 @@ def test_checkpoint_of_another_target_is_ignored(tmp_path):
     assert np.array_equal(resumed[0].counts, fresh[0].counts)
 
 
-def test_checkpoint_with_workers_is_refused(tmp_path):
+def test_checkpointed_workers_match_serial(tmp_path):
+    # 150,000 samples: four full chunks and a partial fifth.
     cfg = ExperimentConfig(
-        wires=6, lengths=(3,), samples_per_length=1000, target=TARGET, workers=2
+        wires=6, lengths=(3, 6), samples_per_length=150_000, target=TARGET,
+        seed=21, workers=2,
     )
-    with pytest.raises(ValueError, match="workers=1"):
-        sample_distribution(cfg, checkpoint_path=tmp_path / "ck.json")
-    assert not (tmp_path / "ck.json").exists()
+    serial = sample_distribution(replace(cfg, workers=1))
+    ck = tmp_path / "ck.json"
+    parallel = sample_distribution(cfg, checkpoint_path=ck, checkpoint_every=CHUNK_SIZE)
+    assert ck.exists()
+    for a, b in zip(serial, parallel):
+        assert np.array_equal(a.counts, b.counts)
+
+
+def test_interrupted_serial_run_resumes_with_workers(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(
+        wires=6, lengths=(3, 6), samples_per_length=150_000, target=TARGET, seed=22
+    )
+    direct = sample_distribution(cfg)
+    ck = tmp_path / "ck.json"
+    record_chunk_ranges(monkeypatch, fail_after=2)
+    with pytest.raises(Interrupted):
+        sample_distribution(cfg, checkpoint_path=ck, checkpoint_every=CHUNK_SIZE)
+    monkeypatch.undo()
+    resumed = sample_distribution(
+        replace(cfg, workers=2), checkpoint_path=ck, checkpoint_every=CHUNK_SIZE
+    )
+    for a, b in zip(direct, resumed):
+        assert np.array_equal(a.counts, b.counts)
+        assert b.total == 150_000
 
 
 def test_solution_density_against_exact_rate():

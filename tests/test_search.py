@@ -1,5 +1,6 @@
 """Mutation, neighborhoods, hill climbing, the GA, and effort measures."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -51,6 +52,68 @@ def test_mutation_never_returns_the_same_circuit():
     for _ in range(3000):
         c = random_circuit(int(rng.integers(3, 8)), int(rng.integers(1, 6)), rng)
         assert mutate(c, rng) != c
+
+
+def gates_line(circuit):
+    return " ".join(f"{g.target},{g.control_a},{g.control_b}" for g in circuit.gates)
+
+
+def record_lines(rec):
+    return [
+        repr(rec.best_fitness_per_generation),
+        repr(rec.mean_fitness_per_generation),
+        repr(sorted(rec.first_hit_evaluations.items())),
+        f"{rec.solved} {rec.evaluations} {rec.solution_output_wire}",
+        "" if rec.solution is None else gates_line(rec.solution),
+    ]
+
+
+def mutate_chain_lines():
+    rng = np.random.default_rng(2024)
+    lines = []
+    for wires in (3, 4, 6, 12):
+        c = random_circuit(wires, 8, rng)
+        for _ in range(250):
+            c = mutate(c, rng)
+            lines.append(gates_line(c))
+    return lines
+
+
+def evolve_lines():
+    return record_lines(evolve(GAConfig(
+        wires=6, length=5, target=TARGET, seed=9, population=60, tournament=5,
+        generations=40,
+    )))
+
+
+def hill_climb_lines():
+    lines = []
+    runs = ((6, 5, OutputMap((0,)), 10), (12, 20, "best", 11))
+    for wires, gates, scoring, seed in runs:
+        start = random_circuit(wires, gates, np.random.default_rng(seed), n_inputs=6)
+        rng = np.random.default_rng(seed + 100)
+        lines += record_lines(hill_climb(start, 3000, rng, scoring=scoring))
+    return lines
+
+
+# SHA-256 of fixed-seed search runs, recorded while `mutate` still had its
+# own slot helpers beside the genome operator: one mutation operator must
+# consume the generator identically and make the same moves.
+SEARCH_DIGESTS = {
+    "mutate": "cb66b50ea65385e44b1cdbdf6d2a050dd7416004ffe5a8657ac421dea0779bae",
+    "evolve": "b4095e3d8cbd4a8e94c72cc88e72fe9344c34ae9bf46aff52f36b9e1d688e311",
+    "hill_climb": "a1bff615b48fc7ec90a7373335d9244e0db890bd192c16ec5d196ee4f6e83329",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_DIGESTS))
+def test_search_trajectories_are_pinned(name):
+    lines = {
+        "mutate": mutate_chain_lines, "evolve": evolve_lines,
+        "hill_climb": hill_climb_lines,
+    }[name]()
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SEARCH_DIGESTS[name]
 
 
 def ordered_triple_neighbourhood(circuit):
