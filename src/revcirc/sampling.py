@@ -171,13 +171,14 @@ def sample_distribution(
     """One histogram per configured length.
 
     Each length's chunks are scored in blocks, and each block is split into
-    `workers` contiguous chunk ranges (scored in parallel processes when
-    `workers > 1`).  Without `checkpoint_path` one block holds every chunk.
-    With it, a block holds about `checkpoint_every` samples (at least one
-    chunk per worker), and after every block the checkpoint file stores
-    (chunks done, counts) for that length; a rerun resumes from it.
-    Because every chunk seeds its own generator, any block split, worker
-    count or resume gives bit-identical histograms.
+    at most `workers` contiguous chunk ranges (scored in parallel processes
+    when `workers > 1` and a length has more than one chunk).  Without
+    `checkpoint_path` one block holds every chunk.  With it, a block holds
+    about `checkpoint_every` samples (at least one chunk per worker), and
+    after every block the checkpoint file stores (chunks done, counts) for
+    that length; a rerun resumes from it.  Because every chunk seeds its
+    own generator, any block split, worker count or resume gives
+    bit-identical histograms.
 
     The checkpoint file is one JSON object keyed per length by everything
     that length's counts depend on; entries under other keys are kept.
@@ -192,9 +193,11 @@ def sample_distribution(
         n_chunks if checkpoint_path is None
         else max(config.workers, checkpoint_every // CHUNK_SIZE)
     )
-    parallel = config.workers > 1
+    # No block has more ranges than the run has chunks.
+    pool_size = min(config.workers, n_chunks)
+    parallel = pool_size > 1
     results = []
-    with ProcessPoolExecutor(config.workers) if parallel else nullcontext() as pool:
+    with ProcessPoolExecutor(pool_size) if parallel else nullcontext() as pool:
         for length in config.lengths:
             key = _length_key(config, length)
             done, counts = store.get(key, (0, [0] * (config.target.max_fitness + 1)))

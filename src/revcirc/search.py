@@ -59,7 +59,7 @@ def mutate(circuit: Circuit, rng: np.random.Generator) -> Circuit:
         raise ValueError("cannot mutate an empty circuit")
     genome = _FitnessEngine.circuit_to_genome(circuit)
     gi = _mutate_genome_inplace(genome, circuit.wires, rng)
-    return circuit.replace_gate(gi, Gate(*(int(x) for x in genome[gi])))
+    return circuit.replace_gate(gi, Gate(*genome[gi].tolist()))
 
 
 def neighborhood_size(circuit: Circuit) -> int:
@@ -177,14 +177,14 @@ class _FitnessEngine:
 
     def score_genome(self, genome: np.ndarray) -> tuple[int, int]:
         rows = list(self._patterns)
-        for t, a, b in genome:
+        for t, a, b in genome.tolist():
             rows[t] ^= rows[a] & rows[b]
         if self.scoring == "best":
             fits = [
                 self.cases - (rows[w] ^ self.target.rows[0]).bit_count()
                 for w in range(self.wires)
             ]
-            best = int(np.argmax(fits))
+            best = max(range(self.wires), key=fits.__getitem__)  # first maximum
             return fits[best], best
         raw = sum(
             self.cases - (rows[w] ^ self.target.rows[j]).bit_count()
@@ -218,7 +218,7 @@ def _mutate_genome_inplace(
     drawn.  Returns the index of the changed gate.
     """
     gi = int(rng.integers(0, genome.shape[0]))
-    t, a, b = (int(x) for x in genome[gi])
+    t, a, b = genome[gi].tolist()
     slots = [0, 1, 2]
     while slots:
         slot = slots[int(rng.integers(0, len(slots)))]

@@ -125,6 +125,21 @@ def test_worker_split_is_invisible():
         assert np.array_equal(a.counts, b.counts)
 
 
+def test_single_chunk_run_builds_no_worker_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single-chunk run started a process pool")
+
+    cfg = ExperimentConfig(
+        wires=7, lengths=(2, 6), samples_per_length=CHUNK_SIZE, target=TARGET,
+        seed=9, workers=2,
+    )
+    serial = sample_distribution(replace(cfg, workers=1))
+    monkeypatch.setattr(sampling, "ProcessPoolExecutor", no_pool)
+    for a, b in zip(serial, sample_distribution(cfg)):
+        assert np.array_equal(a.counts, b.counts)
+        assert b.total == CHUNK_SIZE
+
+
 def test_no_spare_histogram_has_even_support_only():
     hist = sample_fitness_histogram(6, 20, 300_000, seed=5, target=TARGET)
     assert int(hist.counts[1::2].sum()) == 0

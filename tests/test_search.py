@@ -16,6 +16,7 @@ from revcirc.fitness import (
 from revcirc.search import (
     GAConfig,
     RunRecord,
+    _FitnessEngine,
     coupon_collector_expected,
     evolve,
     hill_climb,
@@ -201,6 +202,24 @@ def test_hill_climb_best_wire_scoring():
     start = random_circuit(6, 5, rng)
     rec = hill_climb(start, 500, rng, target=TARGET, scoring="best")
     assert 0 <= rec.best_fitness_per_generation[-1] <= 64
+
+
+def test_best_wire_scoring_reports_the_lowest_tied_wire():
+    # A gate and its repeat cancel, leaving every input wire as it was: the
+    # four data wires of the multiplexor tie at the best fitness.
+    g = Gate(6, 0, 1)
+    circuit = Circuit(7, [g, g], n_inputs=6)
+    fits = [
+        hamming_fitness_scalar(circuit, TARGET, OutputMap((w,))).raw
+        for w in range(7)
+    ]
+    tied = [w for w, f in enumerate(fits) if f == max(fits)]
+    assert len(tied) >= 2
+    engine = _FitnessEngine(7, 6, 1, TARGET, "best")
+    genome = engine.circuit_to_genome(circuit)
+    assert engine.score_genome(genome) == (max(fits), tied[0])
+    best, wire = engine.score_population(genome[None])
+    assert (int(best[0]), int(wire[0])) == (max(fits), tied[0])
 
 
 def test_hill_climb_validates_budget():
