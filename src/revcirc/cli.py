@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -44,8 +43,6 @@ from .fitness import (
 )
 from .sampling import (
     ExperimentConfig,
-    FitnessHistogram,
-    _length_key,
     convergence_series,
     exhaustive_min_scan,
     sample_distribution,
@@ -462,52 +459,6 @@ def _cmd_limit(args) -> int:
 # ---------------------------------------------------------------- recipes
 
 
-class _HistogramStore:
-    """Finished per-length histograms shared by the recipes run in one
-    process, keyed like the checkpoint file (`sampling._length_key`), so a
-    (wires, length) grid two recipes share is sampled once.
-
-    It holds one (seed, samples per length) generation: a config from
-    another generation clears it first, which bounds it by the recipes'
-    grids and not by a size setting.  A recipe run is a single call with no
-    object to carry the store between calls, hence one per process.
-    """
-
-    def __init__(self) -> None:
-        self.reused = 0  # histograms handed out from the store, ever
-        self.clear()
-
-    def clear(self) -> None:
-        self._generation: tuple[int, int] | None = None
-        self._hists: dict[str, FitnessHistogram] = {}
-
-    def sampled(self, config: ExperimentConfig) -> list[FitnessHistogram]:
-        """One histogram per configured length; lengths not yet stored are
-        sampled in one `sample_distribution` call.  Each histogram is a
-        fresh copy, so a caller that edits its counts cannot edit the store."""
-        generation = (config.seed, config.samples_per_length)
-        if generation != self._generation:
-            self.clear()
-            self._generation = generation
-        keys = [_length_key(config, length) for length in config.lengths]
-        missing = tuple(
-            length for length, key in zip(config.lengths, keys)
-            if key not in self._hists
-        )
-        if missing:
-            for h in sample_distribution(dataclasses.replace(config, lengths=missing)):
-                self._hists[_length_key(config, h.length)] = h
-        self.reused += len(keys) - len(missing)
-        return [
-            FitnessHistogram(h.length, h.counts.copy(), h.total)
-            for h in (self._hists[key] for key in keys)
-        ]
-
-
-_STORE = _HistogramStore()
-_sampled = _STORE.sampled
-
-
 def run_recipe(
     recipe_id: str,
     scale: str = "ci",
@@ -535,7 +486,6 @@ def run_recipe(
         CI_SAMPLES if scale == "ci" else FULL_SAMPLES
     )
     started = time.perf_counter()
-    reused_before = _STORE.reused
     builder = _RECIPE_BUILDERS[recipe_id]
     parameters, artifacts = builder(
         seed=seed,
@@ -553,7 +503,6 @@ def run_recipe(
         "workers": workers,
         "parameters": parameters,
         "artifacts": sorted(a.name for a in artifacts),
-        "reused_lengths": _STORE.reused - reused_before,
         "wall_time_seconds": round(time.perf_counter() - started, 3),
     }
     if runs is not None:
@@ -582,7 +531,7 @@ def _recipe_fig4(seed, samples, runs, generations, workers, out_dir):
         seed=seed, workers=workers,
     )
     path = out_dir / "fig4_hist_w6.csv"
-    _histogram_artifact(path, _sampled(config))
+    _histogram_artifact(path, sample_distribution(config))
     return {"wires": 6, "lengths": list(lengths)}, [path]
 
 
@@ -597,7 +546,7 @@ def _recipe_fig5(seed, samples, runs, generations, workers, out_dir):
     )
     limit = parity_shifted_limit()
     rows = []
-    for h in _sampled(config):
+    for h in sample_distribution(config):
         probs = h.distribution()
         for f in range(len(probs)):
             if probs[f] or limit.pmf[f]:
@@ -615,7 +564,7 @@ def _recipe_fig6(seed, samples, runs, generations, workers, out_dir):
         seed=seed, workers=workers,
     )
     path = out_dir / "fig6_hist_w7.csv"
-    _histogram_artifact(path, _sampled(config))
+    _histogram_artifact(path, sample_distribution(config))
     return {"wires": 7, "lengths": list(lengths)}, [path]
 
 
@@ -629,7 +578,9 @@ def _recipe_fig7(seed, samples, runs, generations, workers, out_dir):
             wires=wires, lengths=lengths, samples_per_length=samples,
             target=target, seed=seed, workers=workers,
         )
-        series = convergence_series(_sampled(config), _limit_for(wires, target))
+        series = convergence_series(
+            sample_distribution(config), _limit_for(wires, target)
+        )
         path = out_dir / f"fig7_series_w{wires}.csv"
         _write_csv(
             path, ["length", "mean", "sd", "tvd", "solutions", "total"], series.rows
@@ -652,7 +603,7 @@ def _recipe_fig8(seed, samples, runs, generations, workers, out_dir):
             wires=wires, lengths=lengths, samples_per_length=samples,
             target=target, seed=seed, workers=workers,
         )
-        for h in _sampled(config):
+        for h in sample_distribution(config):
             rows.append((wires, h.length, h.mean(), h.sd(), limit.mean, limit.sd))
     path = out_dir / "fig8_mean_sd.csv"
     _write_csv(

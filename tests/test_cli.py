@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from revcirc import cli
 from revcirc.cli import main, run_recipe
 from revcirc.core import parse_circuits
 from revcirc.fitness import OutputMap, TargetTable, hamming_fitness_scalar, six_multiplexor_target
@@ -227,7 +226,6 @@ def test_recipe_manifest_round_trip(tmp_path):
     stored = json.loads(manifest_path.read_text())
     assert stored["recipe"] == "fig7" and stored["seed"] == 17
     assert stored["artifacts"] == first["artifacts"]
-    cli._STORE.clear()  # resample, not read back the first run's histograms
     again = run_recipe(
         "fig7", scale=stored["scale"], seed=stored["seed"],
         out_dir=tmp_path / "two", samples=stored["samples_per_length"],
@@ -298,79 +296,14 @@ RECIPE_CSV_DIGESTS = {
 }
 
 
-def csv_digests(out_dir, manifest):
-    return {
-        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-        for name in manifest["artifacts"]
-    }
-
-
 @pytest.mark.parametrize("recipe_id", sorted(RECIPE_CSV_DIGESTS))
 def test_sampling_recipe_csvs_are_pinned(tmp_path, recipe_id):
-    cli._STORE.clear()  # cold: every histogram comes from the sampler
     manifest = run_recipe(recipe_id, seed=3, out_dir=tmp_path, samples=4096)
-    assert csv_digests(tmp_path, manifest) == RECIPE_CSV_DIGESTS[recipe_id]
-
-
-@pytest.mark.parametrize("recipe_id", sorted(RECIPE_CSV_DIGESTS))
-def test_sampling_recipe_csvs_are_pinned_warm(tmp_path, recipe_id):
-    cli._STORE.clear()
-    for other in sorted(set(RECIPE_CSV_DIGESTS) - {recipe_id}):
-        run_recipe(other, seed=3, out_dir=tmp_path / other, samples=4096)
-    manifest = run_recipe(recipe_id, seed=3, out_dir=tmp_path, samples=4096)
-    assert csv_digests(tmp_path, manifest) == RECIPE_CSV_DIGESTS[recipe_id]
-
-
-def test_recipes_sample_only_lengths_not_stored(tmp_path, monkeypatch):
-    asked = []
-
-    real = cli.sample_distribution
-
-    def recording(config, *args, **kwargs):
-        asked.append((config.wires, config.lengths))
-        return real(config, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "sample_distribution", recording)
-    cli._STORE.clear()
-    run_recipe("fig4", seed=5, out_dir=tmp_path / "fig4", samples=1000)
-    asked.clear()
-    run_recipe("fig5", seed=5, out_dir=tmp_path / "fig5", samples=1000)
-    assert asked == []
-    run_recipe("fig7", seed=5, out_dir=tmp_path / "fig7", samples=1000)
-    asked.clear()
-    run_recipe("fig8", seed=5, out_dir=tmp_path / "fig8", samples=1000)
-    assert asked == [(7, (5, 10)), (12, (5, 10))]
-    fig8 = (5, 10, 20, 50, 100, 200, 500)
-    for seed, samples in ((6, 1000), (6, 1001)):
-        asked.clear()
-        run_recipe("fig8", seed=seed, out_dir=tmp_path / "again", samples=samples)
-        assert asked == [(6, fig8), (7, fig8), (12, fig8)]
-        assert len(cli._STORE._hists) == 3 * len(fig8)  # one generation only
-
-
-def test_manifest_counts_reused_lengths(tmp_path):
-    cli._STORE.clear()
-    assert run_recipe("fig5", seed=3, out_dir=tmp_path, samples=1000)["reused_lengths"] == 0
-    cli._STORE.clear()
-    run_recipe("fig4", seed=3, out_dir=tmp_path, samples=1000)
-    manifest = run_recipe("fig5", seed=3, out_dir=tmp_path, samples=1000)
-    assert manifest["reused_lengths"] == 6
-    stored = json.loads((tmp_path / "manifest.json").read_text())
-    assert stored["reused_lengths"] == 6
-
-
-def test_store_hands_out_private_copies(tmp_path):
-    cli._STORE.clear()
-    run_recipe("fig4", seed=3, out_dir=tmp_path / "fig4", samples=4096)
-    config = cli.ExperimentConfig(
-        wires=6, lengths=(5, 500), samples_per_length=4096,
-        target=six_multiplexor_target(), seed=3,
-    )
-    for h in cli._sampled(config):
-        h.counts[:] = 0
-    manifest = run_recipe("fig5", seed=3, out_dir=tmp_path, samples=4096)
-    assert manifest["reused_lengths"] == 6
-    assert csv_digests(tmp_path, manifest) == RECIPE_CSV_DIGESTS["fig5"]
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in manifest["artifacts"]
+    }
+    assert digests == RECIPE_CSV_DIGESTS[recipe_id]
 
 
 def test_recipe_rejects_unknown_id(tmp_path):
