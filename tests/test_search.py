@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from revcirc.core import Circuit, Gate, random_circuit
 from revcirc.fitness import (
@@ -17,6 +18,8 @@ from revcirc.search import (
     GAConfig,
     RunRecord,
     _FitnessEngine,
+    _mutate_genome_inplace,
+    _mutate_population,
     coupon_collector_expected,
     evolve,
     hill_climb,
@@ -53,6 +56,50 @@ def test_mutation_never_returns_the_same_circuit():
     for _ in range(3000):
         c = random_circuit(int(rng.integers(3, 8)), int(rng.integers(1, 6)), rng)
         assert mutate(c, rng) != c
+
+
+# Parent genomes mixing distinct and shared controls; the 3-wire gates with
+# distinct controls have a target slot with no legal wire.
+POPULATION_PARENTS = {
+    3: [[0, 1, 2], [2, 0, 0], [1, 2, 0]],
+    4: [[0, 1, 2], [3, 1, 1], [2, 3, 0]],
+    6: [[0, 1, 2], [5, 3, 3], [4, 0, 5], [1, 2, 2]],
+    12: [[0, 1, 2], [11, 7, 7], [4, 9, 3], [6, 5, 10]],
+}
+
+
+def single_move(parent, child):
+    """(gate, slot, new wire) of a child differing from its parent in
+    exactly one slot; fails on any other child or an illegal gate."""
+    gi, slot = np.nonzero(child != parent)
+    assert len(gi) == 1
+    t, a, b = child[gi[0]]
+    assert t != a and t != b
+    return int(gi[0]), int(slot[0]), int(child[gi[0], slot[0]])
+
+
+@pytest.mark.parametrize("wires", sorted(POPULATION_PARENTS))
+def test_population_mutation_matches_scalar_operator(wires):
+    """The GA's one-draw population mutation makes the same moves with the
+    same frequencies as the one-at-a-time operator: a two-sample
+    contingency test of (gate, slot, new wire) counts at fixed seeds."""
+    parent = np.array(POPULATION_PARENTS[wires], dtype=np.int64)
+    n = 12_000
+    rng = np.random.default_rng(wires)
+    batch = np.repeat(parent[None], n, axis=0)
+    _mutate_population(batch, wires, rng)
+    scalar = []
+    for _ in range(n):
+        child = parent.copy()
+        _mutate_genome_inplace(child, wires, rng)
+        scalar.append(single_move(parent, child))
+    vector = [single_move(parent, child) for child in batch]
+    moves = sorted(set(scalar) | set(vector))
+    table = np.array([
+        [scalar.count(m) for m in moves], [vector.count(m) for m in moves]
+    ])
+    assert set(vector) == set(scalar)
+    assert chi2_contingency(table).pvalue > 0.01
 
 
 def gates_line(circuit):
@@ -97,12 +144,15 @@ def hill_climb_lines():
     return lines
 
 
-# SHA-256 of fixed-seed search runs, recorded while `mutate` still had its
-# own slot helpers beside the genome operator: one mutation operator must
-# consume the generator identically and make the same moves.
+# SHA-256 of fixed-seed search runs.  The `mutate` and `hill_climb` pins
+# date from when `mutate` still had its own slot helpers beside the genome
+# operator: the one scalar operator must consume the generator identically
+# and make the same moves.  The `evolve` pin was re-recorded when the GA
+# moved to the one-draw population mutation, which makes the same moves
+# with the same frequencies (test above) from a different generator stream.
 SEARCH_DIGESTS = {
     "mutate": "cb66b50ea65385e44b1cdbdf6d2a050dd7416004ffe5a8657ac421dea0779bae",
-    "evolve": "b4095e3d8cbd4a8e94c72cc88e72fe9344c34ae9bf46aff52f36b9e1d688e311",
+    "evolve": "edb5cabc241befe363cb88868943f077cc27177a7bdcc9aebaf276671ce0fb1e",
     "hill_climb": "a1bff615b48fc7ec90a7373335d9244e0db890bd192c16ec5d196ee4f6e83329",
 }
 
