@@ -22,7 +22,9 @@ byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -57,10 +59,25 @@ from .theory import (
     rms_limit,
 )
 
-RECIPE_IDS = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig10", "table1", "table3")
+_SIX_MUX_LENGTHS = (5, 10, 20, 50, 100, 500)
+# Sampling recipes on the six-multiplexor: id -> (bus widths, lengths,
+# artifact kind).  Each kind is written by `_sampling_recipe`.
+_SAMPLING_RECIPES = {
+    "fig4": ((6,), _SIX_MUX_LENGTHS, "hist"),
+    "fig5": ((6,), _SIX_MUX_LENGTHS, "prob"),
+    "fig6": ((7,), _SIX_MUX_LENGTHS, "hist"),
+    "fig7": ((6, 7, 12), (20, 50, 100, 200, 500), "series"),
+    "fig8": ((6, 7, 12), (5, 10, 20, 50, 100, 200, 500), "mean_sd"),
+    "fig10": ((6,), (5, 6, 7, 8, 9, 10, 12, 15, 20, 30, 50), "density"),
+}
+RECIPE_IDS = (*_SAMPLING_RECIPES, "table1", "table3")
 CI_SAMPLES = 10**6
 FULL_SAMPLES = 10**8
 HILL_CLIMB_BUDGET = 5000
+
+_HIST_HEADER = ["length", "fitness", "count"]
+_SERIES_HEADER = ["length", "mean", "sd", "tvd", "solutions", "total"]
+_DENSITY_HEADER = ["length", "count", "rate", "ci_lo", "ci_hi"]
 
 
 # ---------------------------------------------------------------- helpers
@@ -116,21 +133,29 @@ def _limit_for(wires: int, target: TargetTable) -> LimitModel:
     return binomial_limit(target.n_inputs, target.m_outputs)
 
 
-def _write_csv(path_or_file, header: list[str], rows) -> None:
-    if isinstance(path_or_file, (str, Path)):
-        with open(path_or_file, "w", newline="", encoding="utf-8") as fh:
-            _write_csv(fh, header, rows)
-        return
-    writer = csv.writer(path_or_file, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-
-
-def _out_stream(path: str | None):
+def _write_csv(path: str | Path | None, header: list[str], rows) -> None:
+    """Write `header` then `rows` as CSV to `path`, or to stdout when None."""
     if path is None:
-        return sys.stdout
-    return open(path, "w", newline="", encoding="utf-8")
+        stream = contextlib.nullcontext(sys.stdout)
+    else:
+        stream = open(path, "w", newline="", encoding="utf-8")
+    with stream as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_lines(path: Path, lines: list[str]) -> None:
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def _hist_rows(hists, keep_zeros: bool = False) -> list[tuple[int, int, int]]:
+    return [
+        (h.length, f, int(c))
+        for h in hists
+        for f, c in enumerate(h.counts)
+        if c or keep_zeros
+    ]
 
 
 # ---------------------------------------------------------------- sampling commands
@@ -142,7 +167,7 @@ def _experiment_config(args, target: TargetTable) -> ExperimentConfig:
         lengths=_parse_lengths(args.lengths),
         samples_per_length=args.samples,
         target=target,
-        outputs=OutputMap((args.output_wire,)) if hasattr(args, "output_wire") else DEFAULT_OUTPUT,
+        outputs=OutputMap((args.output_wire,)),
         seed=_resolve_seed(args.seed),
         workers=args.workers,
         constant_fill=args.fill,
@@ -150,21 +175,9 @@ def _experiment_config(args, target: TargetTable) -> ExperimentConfig:
 
 
 def _cmd_sample(args) -> int:
-    target = _load_target(args.target)
-    config = _experiment_config(args, target)
+    config = _experiment_config(args, _load_target(args.target))
     hists = sample_distribution(config, checkpoint_path=args.checkpoint)
-    rows = [
-        (h.length, f, int(c))
-        for h in hists
-        for f, c in enumerate(h.counts)
-        if c or args.keep_zeros
-    ]
-    stream = _out_stream(args.out)
-    try:
-        _write_csv(stream, ["length", "fitness", "count"], rows)
-    finally:
-        if args.out is not None:
-            stream.close()
+    _write_csv(args.out, _HIST_HEADER, _hist_rows(hists, args.keep_zeros))
     return 0
 
 
@@ -173,29 +186,13 @@ def _cmd_converge(args) -> int:
     config = _experiment_config(args, target)
     limit = _limit_for(config.wires, target)
     series = convergence_series(sample_distribution(config), limit)
-    stream = _out_stream(args.out)
-    try:
-        _write_csv(
-            stream,
-            ["length", "mean", "sd", "tvd", "solutions", "total"],
-            series.rows,
-        )
-    finally:
-        if args.out is not None:
-            stream.close()
+    _write_csv(args.out, _SERIES_HEADER, series.rows)
     return 0
 
 
 def _cmd_density(args) -> int:
-    target = _load_target(args.target)
-    config = _experiment_config(args, target)
-    rows = solution_density(config)
-    stream = _out_stream(args.out)
-    try:
-        _write_csv(stream, ["length", "count", "rate", "ci_lo", "ci_hi"], rows)
-    finally:
-        if args.out is not None:
-            stream.close()
+    config = _experiment_config(args, _load_target(args.target))
+    _write_csv(args.out, _DENSITY_HEADER, solution_density(config))
     return 0
 
 
@@ -203,18 +200,9 @@ def _cmd_minscan(args) -> int:
     target = _load_target(args.target)
     max_length = max(_parse_lengths(args.lengths))
     counts = exhaustive_min_scan(
-        args.wires,
-        max_length,
-        target,
-        constant_fill=args.fill,
-        prune=not args.no_prune,
+        args.wires, max_length, target, constant_fill=args.fill, prune=not args.no_prune
     )
-    stream = _out_stream(args.out)
-    try:
-        _write_csv(stream, ["length", "count"], sorted(counts.items()))
-    finally:
-        if args.out is not None:
-            stream.close()
+    _write_csv(args.out, ["length", "count"], sorted(counts.items()))
     shortest = next((n for n, c in sorted(counts.items()) if c), None)
     if shortest is None:
         print(f"no solutions with <= {max_length} gates", file=sys.stderr)
@@ -226,118 +214,123 @@ def _cmd_minscan(args) -> int:
 # ---------------------------------------------------------------- search commands
 
 
-def _search_paths(out: str | None) -> tuple:
-    if out is None:
-        return None, None, None
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir, out_dir / "runs.jsonl", out_dir / "solutions.txt"
+def _search_run(
+    method: str, seed_sequence: np.random.SeedSequence, wires: int, gates: int,
+    target: TargetTable, scoring, *, budget: int = HILL_CLIMB_BUDGET,
+    accept_equal: bool = True, population: int = 500, tournament: int = 7,
+    generations: int = 500,
+) -> RunRecord:
+    """One seeded hill-climber or GA run.  A claimed solution is re-checked
+    case by case, independent of the bit-parallel scorer; a wrong claim
+    raises."""
+    if method == "hillclimb":
+        rng = np.random.default_rng(seed_sequence)
+        start = random_circuit(wires, gates, rng, n_inputs=target.n_inputs)
+        record = hill_climb(
+            start, budget, rng, target=target, scoring=scoring, accept_equal=accept_equal
+        )
+    else:
+        record = evolve(GAConfig(
+            wires=wires, length=gates, target=target,
+            seed=int(seed_sequence.generate_state(1)[0]), population=population,
+            tournament=tournament, generations=generations, scoring=scoring,
+        ))
+    if record.solved:
+        check = hamming_fitness_scalar(record.solution, target, _solution_outputs(record, scoring))
+        if not check.solved:
+            raise AssertionError(
+                f"solution failed independent re-verification: {check.raw}/{check.max_raw}"
+            )
+    return record
 
 
-def _jsonl(fh, record: dict) -> None:
-    fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def _record_outputs(record: RunRecord, scoring) -> OutputMap:
-    """Output wires a solved record was scored on.
-
-    Best-wire runs store the winning wire on the record; fixed-wire runs
-    leave it unset, so the configured map applies.
-    """
+def _solution_outputs(record: RunRecord, scoring) -> OutputMap:
+    """Output wires a solved record was scored on: the winning wire of a
+    best-wire run (always set), else the configured map."""
     if record.solution_output_wire is not None:
         return OutputMap((record.solution_output_wire,))
-    if scoring == "best":
-        raise AssertionError("best-wire solution lost its output wire")
     return scoring
 
 
-def _solution_lines(method: str, run: int, record: RunRecord, scoring) -> list[str]:
-    assert record.solution is not None
-    wires = ",".join(str(w) for w in _record_outputs(record, scoring).wire_of_output)
+def _solution_lines(label: str, run: int, record: RunRecord, scoring) -> list[str]:
+    if not record.solved:
+        return []
+    wires = ",".join(str(w) for w in _solution_outputs(record, scoring).wire_of_output)
     return [
-        f"# {method} run={run} output_wire={wires} "
-        f"evaluations={record.evaluations}",
+        f"# {label} run={run} output_wire={wires} evaluations={record.evaluations}",
         format_circuit(record.solution),
     ]
 
 
-def _verify_solution(record: RunRecord, target: TargetTable, scoring) -> None:
-    """Re-check a claimed solution case by case (independent of the
-    bit-parallel scorer); raises if the claim is wrong."""
-    check = hamming_fitness_scalar(
-        record.solution, target, _record_outputs(record, scoring)
-    )
-    if not check.solved:
-        raise AssertionError(
-            f"solution failed independent re-verification: {check.raw}/{check.max_raw}"
-        )
+def _hillclimb_log(run: int, record: RunRecord):
+    for fit, ev in sorted(record.first_hit_evaluations.items()):
+        yield {"run": run, "evaluations": ev, "best": fit}
+    best = record.best_fitness_per_generation[-1]
+    yield {"run": run, "evaluations": record.evaluations, "best": best, "solved": record.solved}
+
+
+def _ga_log(run: int, record: RunRecord):
+    means = record.mean_fitness_per_generation
+    last = len(record.best_fitness_per_generation) - 1
+    for g, best in enumerate(record.best_fitness_per_generation):
+        yield {"run": run, "generation": g, "best": best, "mean": round(means[g], 4),
+               "solved": record.solved and g == last}
+
+
+def _search_runs(args, target, seed, scoring, out_dir, log, **options) -> list[RunRecord]:
+    """`args.runs` runs of `args.command`, run r seeded by [seed, r].  Each
+    run's `log` entries go to `runs.jsonl` under `out_dir` (else stdout)
+    as JSON lines; solved circuits go to `solutions.txt`."""
+    records, solution_lines = [], []
+    if out_dir is None:
+        stream = contextlib.nullcontext(sys.stdout)
+    else:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stream = open(out_dir / "runs.jsonl", "w", encoding="utf-8")
+    with stream as fh:
+        for r in range(args.runs):
+            record = _search_run(
+                args.command, np.random.SeedSequence([seed, r]), args.wires,
+                args.gates, target, scoring, **options,
+            )
+            records.append(record)
+            for entry in log(r, record):
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            solution_lines += _solution_lines(args.command, r, record, scoring)
+    if out_dir is not None:
+        _write_lines(out_dir / "solutions.txt", solution_lines)
+    return records
 
 
 def _cmd_hillclimb(args) -> int:
     target = _load_target(args.target)
     seed = _resolve_seed(args.seed)
     scoring = _parse_output_wire(args.output_wire)
-    out_dir, runs_path, solutions_path = _search_paths(args.out)
-    runs_fh = open(runs_path, "w", encoding="utf-8") if runs_path else sys.stdout
-    solution_lines: list[str] = []
-    records: list[RunRecord] = []
-    try:
-        for r in range(args.runs):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
-            start = random_circuit(
-                args.wires, args.gates, rng, n_inputs=target.n_inputs
-            )
-            rec = hill_climb(
-                start, args.budget, rng, target=target, scoring=scoring,
-                accept_equal=not args.strict,
-            )
-            records.append(rec)
-            best = rec.best_fitness_per_generation[-1]
-            for fit, ev in sorted(rec.first_hit_evaluations.items()):
-                _jsonl(runs_fh, {"run": r, "evaluations": ev, "best": fit})
-            _jsonl(
-                runs_fh,
-                {
-                    "run": r,
-                    "evaluations": rec.evaluations,
-                    "best": best,
-                    "solved": rec.solved,
-                },
-            )
-            if rec.solved:
-                _verify_solution(rec, target, scoring)
-                solution_lines += _solution_lines("hillclimb", r, rec, scoring)
-    finally:
-        if runs_path:
-            runs_fh.close()
-    if solutions_path:
-        solutions_path.write_text("\n".join(solution_lines) + ("\n" if solution_lines else ""))
+    compare = None
+    if args.compare_random:  # checked here so a bad request fails before any run
+        if scoring == "best":
+            raise ValueError("--compare-random needs a fixed output wire")
+        compare = ExperimentConfig(
+            wires=args.wires, lengths=(args.gates,), samples_per_length=args.samples,
+            target=target, outputs=scoring, seed=seed + 1, workers=args.workers,
+        )
+    out_dir = None if args.out is None else Path(args.out)
+    records = _search_runs(
+        args, target, seed, scoring, out_dir, _hillclimb_log,
+        budget=args.budget, accept_equal=not args.strict,
+    )
     solved = sum(r.solved for r in records)
     finals = [r.best_fitness_per_generation[-1] for r in records]
-    print(
-        f"hillclimb: {solved}/{args.runs} solved; final fitness "
-        f"{sorted(finals)}",
-        file=sys.stderr,
-    )
-    if args.compare_random:
-        _compare_random(args, target, scoring, records, out_dir, seed)
+    print(f"hillclimb: {solved}/{args.runs} solved; final fitness {sorted(finals)}",
+          file=sys.stderr)
+    if compare is not None:
+        _compare_random(compare, records, out_dir)
     return 0
 
 
-def _compare_random(args, target, scoring, records, out_dir, seed) -> None:
+def _compare_random(config, records, out_dir) -> None:
     """Hill-climber hitting times next to the expected number of uniform
-    random samples needed to match each fitness level."""
-    if scoring == "best":
-        raise ValueError("--compare-random needs a fixed output wire")
-    config = ExperimentConfig(
-        wires=args.wires,
-        lengths=(args.gates,),
-        samples_per_length=args.samples,
-        target=target,
-        outputs=scoring,
-        seed=seed + 1,
-        workers=args.workers,
-    )
+    random samples (drawn per `config`) needed to match each fitness level."""
     hist = sample_distribution(config)[0]
     tail = np.cumsum(hist.counts[::-1])[::-1]  # samples with fitness >= f
     rows = []
@@ -345,17 +338,10 @@ def _compare_random(args, target, scoring, records, out_dir, seed) -> None:
     for f in levels:
         hits = [r.first_hit_evaluations[f] for r in records if f in r.first_hit_evaluations]
         expected = math.inf if tail[f] == 0 else hist.total / int(tail[f])
-        rows.append(
-            (
-                f,
-                len(hits),
-                statistics.median(hits),
-                "inf" if expected == math.inf else round(expected, 3),
-            )
-        )
-    dest = (out_dir / "random_comparison.csv") if out_dir else sys.stdout
+        shown = "inf" if expected == math.inf else round(expected, 3)
+        rows.append((f, len(hits), statistics.median(hits), shown))
     _write_csv(
-        dest,
+        None if out_dir is None else out_dir / "random_comparison.csv",
         ["fitness", "hc_runs_reaching", "hc_median_evaluations", "random_expected_evaluations"],
         rows,
     )
@@ -365,46 +351,11 @@ def _cmd_ga(args) -> int:
     target = _load_target(args.target)
     seed = _resolve_seed(args.seed)
     scoring = _parse_output_wire(args.output_wire)
-    out_dir, runs_path, solutions_path = _search_paths(args.out)
-    runs_fh = open(runs_path, "w", encoding="utf-8") if runs_path else sys.stdout
-    solution_lines: list[str] = []
-    records: list[RunRecord] = []
-    try:
-        for r in range(args.runs):
-            run_seed = int(np.random.SeedSequence([seed, r]).generate_state(1)[0])
-            config = GAConfig(
-                wires=args.wires,
-                length=args.gates,
-                target=target,
-                seed=run_seed,
-                population=args.pop,
-                tournament=args.tournament,
-                generations=args.gens,
-                scoring=scoring,
-            )
-            rec = evolve(config)
-            records.append(rec)
-            means = rec.mean_fitness_per_generation
-            for g, b in enumerate(rec.best_fitness_per_generation):
-                _jsonl(
-                    runs_fh,
-                    {
-                        "run": r,
-                        "generation": g,
-                        "best": b,
-                        "mean": round(means[g], 4),
-                        "solved": rec.solved
-                        and g == len(rec.best_fitness_per_generation) - 1,
-                    },
-                )
-            if rec.solved:
-                _verify_solution(rec, target, scoring)
-                solution_lines += _solution_lines("ga", r, rec, scoring)
-    finally:
-        if runs_path:
-            runs_fh.close()
-    if solutions_path:
-        solutions_path.write_text("\n".join(solution_lines) + ("\n" if solution_lines else ""))
+    out_dir = None if args.out is None else Path(args.out)
+    records = _search_runs(
+        args, target, seed, scoring, out_dir, _ga_log,
+        population=args.pop, tournament=args.tournament, generations=args.gens,
+    )
     solved = sum(r.solved for r in records)
     summary = {
         "runs": args.runs,
@@ -412,13 +363,10 @@ def _cmd_ga(args) -> int:
         "generations": [len(r.best_fitness_per_generation) - 1 for r in records],
         "effort": koza_effort(records, args.pop) if solved else None,
     }
-    if out_dir:
+    if out_dir is not None:
         (out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    print(
-        f"ga: {solved}/{args.runs} solved"
-        + (f"; effort {summary['effort']}" if solved else ""),
-        file=sys.stderr,
-    )
+    effort = f"; effort {summary['effort']}" if solved else ""
+    print(f"ga: {solved}/{args.runs} solved{effort}", file=sys.stderr)
     return 0
 
 
@@ -436,23 +384,13 @@ def _cmd_target(args) -> int:
 
 def _cmd_limit(args) -> int:
     if args.kind == "binomial":
-        model = binomial_limit(args.n, args.m)
-        header, rows = ["fitness", "probability"], model.csv_rows()
+        _write_csv(args.out, ["fitness", "probability"], binomial_limit(args.n, args.m).csv_rows())
     elif args.kind == "parity-shifted":
-        model = parity_shifted_limit()
-        header, rows = ["fitness", "probability"], model.csv_rows()
+        _write_csv(args.out, ["fitness", "probability"], parity_shifted_limit().csv_rows())
     elif args.kind == "normalized":
-        mean, sd = normalized_limit(args.n, args.m)
-        header, rows = ["mean", "sd"], [(mean, sd)]
+        _write_csv(args.out, ["mean", "sd"], [normalized_limit(args.n, args.m)])
     else:  # rms
-        mean, sd = rms_limit(args.m, args.regime)
-        header, rows = ["mean", "sd"], [(mean, sd)]
-    stream = _out_stream(args.out)
-    try:
-        _write_csv(stream, header, rows)
-    finally:
-        if args.out is not None:
-            stream.close()
+        _write_csv(args.out, ["mean", "sd"], [rms_limit(args.m, args.regime)])
     return 0
 
 
@@ -486,15 +424,12 @@ def run_recipe(
         CI_SAMPLES if scale == "ci" else FULL_SAMPLES
     )
     started = time.perf_counter()
-    builder = _RECIPE_BUILDERS[recipe_id]
-    parameters, artifacts = builder(
-        seed=seed,
-        samples=n_samples,
-        runs=runs,
-        generations=generations,
-        workers=workers,
-        out_dir=out_dir,
-    )
+    if recipe_id in _SAMPLING_RECIPES:
+        parameters, artifacts = _sampling_recipe(recipe_id, seed, n_samples, workers, out_dir)
+    elif recipe_id == "table1":
+        parameters, artifacts = _recipe_table1(seed, runs, generations, out_dir)
+    else:
+        parameters, artifacts = _recipe_table3(out_dir)
     manifest = {
         "recipe": recipe_id,
         "scale": scale,
@@ -515,186 +450,85 @@ def run_recipe(
     return manifest
 
 
-def _histogram_artifact(path, hists) -> None:
-    _write_csv(
-        path,
-        ["length", "fitness", "count"],
-        [(h.length, f, int(c)) for h in hists for f, c in enumerate(h.counts) if c],
-    )
-
-
-def _recipe_fig4(seed, samples, runs, generations, workers, out_dir):
-    lengths = (5, 10, 20, 50, 100, 500)
+def _sampling_recipe(recipe_id, seed, samples, workers, out_dir):
+    """Write one `_SAMPLING_RECIPES` entry.  Kinds hist, prob, series and
+    density write one CSV per bus width; series adds the TVDs of every width
+    in one file, and mean_sd writes every width to one file."""
+    all_wires, lengths, kind = _SAMPLING_RECIPES[recipe_id]
     target = six_multiplexor_target()
-    config = ExperimentConfig(
-        wires=6, lengths=lengths, samples_per_length=samples, target=target,
-        seed=seed, workers=workers,
-    )
-    path = out_dir / "fig4_hist_w6.csv"
-    _histogram_artifact(path, sample_distribution(config))
-    return {"wires": 6, "lengths": list(lengths)}, [path]
-
-
-def _recipe_fig5(seed, samples, runs, generations, workers, out_dir):
-    # Same data as fig4 (identical seed and draws), expressed as
-    # probabilities next to the no-spare limit law for tail comparison.
-    lengths = (5, 10, 20, 50, 100, 500)
-    target = six_multiplexor_target()
-    config = ExperimentConfig(
-        wires=6, lengths=lengths, samples_per_length=samples, target=target,
-        seed=seed, workers=workers,
-    )
-    limit = parity_shifted_limit()
-    rows = []
-    for h in sample_distribution(config):
-        probs = h.distribution()
-        for f in range(len(probs)):
-            if probs[f] or limit.pmf[f]:
-                rows.append((h.length, f, probs[f], float(limit.pmf[f])))
-    path = out_dir / "fig5_prob_w6.csv"
-    _write_csv(path, ["length", "fitness", "probability", "limit_probability"], rows)
-    return {"wires": 6, "lengths": list(lengths)}, [path]
-
-
-def _recipe_fig6(seed, samples, runs, generations, workers, out_dir):
-    lengths = (5, 10, 20, 50, 100, 500)
-    target = six_multiplexor_target()
-    config = ExperimentConfig(
-        wires=7, lengths=lengths, samples_per_length=samples, target=target,
-        seed=seed, workers=workers,
-    )
-    path = out_dir / "fig6_hist_w7.csv"
-    _histogram_artifact(path, sample_distribution(config))
-    return {"wires": 7, "lengths": list(lengths)}, [path]
-
-
-def _recipe_fig7(seed, samples, runs, generations, workers, out_dir):
-    lengths = (20, 50, 100, 200, 500)
-    target = six_multiplexor_target()
-    artifacts = []
-    tvd_rows = []
-    for wires in (6, 7, 12):
+    artifacts, combined = [], []
+    for wires in all_wires:
         config = ExperimentConfig(
             wires=wires, lengths=lengths, samples_per_length=samples,
             target=target, seed=seed, workers=workers,
         )
-        series = convergence_series(
-            sample_distribution(config), _limit_for(wires, target)
-        )
-        path = out_dir / f"fig7_series_w{wires}.csv"
-        _write_csv(
-            path, ["length", "mean", "sd", "tvd", "solutions", "total"], series.rows
-        )
-        artifacts.append(path)
-        tvd_rows += [(wires, r[0], r[3]) for r in series.rows]
-    combined = out_dir / "fig7_tvd.csv"
-    _write_csv(combined, ["wires", "length", "tvd"], tvd_rows)
-    artifacts.append(combined)
-    return {"wires": [6, 7, 12], "lengths": list(lengths)}, artifacts
+        if kind == "density":
+            header, rows = _DENSITY_HEADER, solution_density(config)
+        elif kind == "hist":
+            header, rows = _HIST_HEADER, _hist_rows(sample_distribution(config))
+        else:
+            hists, limit = sample_distribution(config), _limit_for(wires, target)
+            if kind == "prob":
+                header = ["length", "fitness", "probability", "limit_probability"]
+                rows = [
+                    (h.length, f, p, float(limit.pmf[f]))
+                    for h in hists
+                    for f, p in enumerate(h.distribution())
+                    if p or limit.pmf[f]
+                ]
+            elif kind == "series":
+                header, rows = _SERIES_HEADER, convergence_series(hists, limit).rows
+                combined += [(wires, r[0], r[3]) for r in rows]
+            else:  # mean_sd: one file for every width, written below
+                combined += [
+                    (wires, h.length, h.mean(), h.sd(), limit.mean, limit.sd) for h in hists
+                ]
+                continue
+        artifacts.append(out_dir / f"{recipe_id}_{kind}_w{wires}.csv")
+        _write_csv(artifacts[-1], header, rows)
+    if kind == "series":
+        artifacts.append(out_dir / f"{recipe_id}_tvd.csv")
+        _write_csv(artifacts[-1], ["wires", "length", "tvd"], combined)
+    elif kind == "mean_sd":
+        artifacts.append(out_dir / f"{recipe_id}_mean_sd.csv")
+        header = ["wires", "length", "mean", "sd", "limit_mean", "limit_sd"]
+        _write_csv(artifacts[-1], header, combined)
+    wires_param = all_wires[0] if len(all_wires) == 1 else list(all_wires)
+    return {"wires": wires_param, "lengths": list(lengths)}, artifacts
 
 
-def _recipe_fig8(seed, samples, runs, generations, workers, out_dir):
-    lengths = (5, 10, 20, 50, 100, 200, 500)
-    target = six_multiplexor_target()
-    rows = []
-    for wires in (6, 7, 12):
-        limit = _limit_for(wires, target)
-        config = ExperimentConfig(
-            wires=wires, lengths=lengths, samples_per_length=samples,
-            target=target, seed=seed, workers=workers,
-        )
-        for h in sample_distribution(config):
-            rows.append((wires, h.length, h.mean(), h.sd(), limit.mean, limit.sd))
-    path = out_dir / "fig8_mean_sd.csv"
-    _write_csv(
-        path, ["wires", "length", "mean", "sd", "limit_mean", "limit_sd"], rows
-    )
-    return {"wires": [6, 7, 12], "lengths": list(lengths)}, [path]
-
-
-def _recipe_fig10(seed, samples, runs, generations, workers, out_dir):
-    lengths = (5, 6, 7, 8, 9, 10, 12, 15, 20, 30, 50)
-    target = six_multiplexor_target()
-    config = ExperimentConfig(
-        wires=6, lengths=lengths, samples_per_length=samples, target=target,
-        seed=seed, workers=workers,
-    )
-    path = out_dir / "fig10_density_w6.csv"
-    _write_csv(
-        path, ["length", "count", "rate", "ci_lo", "ci_hi"], solution_density(config)
-    )
-    return {"wires": 6, "lengths": list(lengths)}, [path]
-
-
-def _recipe_table1(seed, samples, runs, generations, workers, out_dir):
+def _recipe_table1(seed, runs, generations, out_dir):
     n_runs = runs if runs is not None else 10
     gens = generations if generations is not None else 500
     target = six_multiplexor_target()
     configs = ((6, 5), (12, 20))
     scorings = (("wire0", DEFAULT_OUTPUT), ("best", "best"))
-    success_rows = []
-    run_lines = []
-    solution_lines = []
-    for method_idx, method in enumerate(("hillclimb", "ga")):
-        for cfg_idx, (wires, gates) in enumerate(configs):
-            for score_idx, (score_name, scoring) in enumerate(scorings):
-                records = []
-                for r in range(n_runs):
-                    ss = np.random.SeedSequence(
-                        [seed, method_idx, cfg_idx, score_idx, r]
-                    )
-                    if method == "hillclimb":
-                        rng = np.random.default_rng(ss)
-                        start = random_circuit(wires, gates, rng, n_inputs=6)
-                        rec = hill_climb(
-                            start, HILL_CLIMB_BUDGET, rng, target=target,
-                            scoring=scoring,
-                        )
-                    else:
-                        rec = evolve(
-                            GAConfig(
-                                wires=wires, length=gates, target=target,
-                                seed=int(ss.generate_state(1)[0]),
-                                generations=gens, scoring=scoring,
-                            )
-                        )
-                    records.append(rec)
-                    run_lines.append(
-                        json.dumps(
-                            {
-                                "method": method,
-                                "wires": wires,
-                                "gates": gates,
-                                "scoring": score_name,
-                                "run": r,
-                                "best": rec.best_fitness_per_generation[-1],
-                                "evaluations": rec.evaluations,
-                                "solved": rec.solved,
-                            },
-                            sort_keys=True,
-                        )
-                    )
-                    if rec.solved:
-                        _verify_solution(rec, target, scoring)
-                        solution_lines += _solution_lines(
-                            f"{method} {score_name} {wires}w/{gates}g", r, rec, scoring
-                        )
-                solved = sum(rec.solved for rec in records)
-                success_rows.append(
-                    (method, wires, gates, score_name, n_runs, solved)
-                )
+    success_rows, run_lines, solution_lines = [], [], []
+    for (method_idx, method), (cfg_idx, (wires, gates)), (score_idx, (score_name, scoring)) in (
+        itertools.product(enumerate(("hillclimb", "ga")), enumerate(configs), enumerate(scorings))
+    ):
+        solved = 0
+        for r in range(n_runs):
+            seed_sequence = np.random.SeedSequence([seed, method_idx, cfg_idx, score_idx, r])
+            rec = _search_run(
+                method, seed_sequence, wires, gates, target, scoring, generations=gens
+            )
+            solved += rec.solved
+            run_lines.append(json.dumps({
+                "method": method, "wires": wires, "gates": gates, "scoring": score_name,
+                "run": r, "best": rec.best_fitness_per_generation[-1],
+                "evaluations": rec.evaluations, "solved": rec.solved,
+            }, sort_keys=True))
+            label = f"{method} {score_name} {wires}w/{gates}g"
+            solution_lines += _solution_lines(label, r, rec, scoring)
+        success_rows.append((method, wires, gates, score_name, n_runs, solved))
     success_path = out_dir / "table1_success.csv"
-    _write_csv(
-        success_path,
-        ["method", "wires", "gates", "scoring", "runs", "solved"],
-        success_rows,
-    )
+    header = ["method", "wires", "gates", "scoring", "runs", "solved"]
+    _write_csv(success_path, header, success_rows)
     runs_path = out_dir / "table1_runs.jsonl"
     runs_path.write_text("\n".join(run_lines) + "\n")
     solutions_path = out_dir / "table1_solutions.txt"
-    solutions_path.write_text(
-        "\n".join(solution_lines) + ("\n" if solution_lines else "")
-    )
+    _write_lines(solutions_path, solution_lines)
     params = {
         "configs": [list(c) for c in configs],
         "runs": n_runs,
@@ -704,7 +538,7 @@ def _recipe_table1(seed, samples, runs, generations, workers, out_dir):
     return params, [success_path, runs_path, solutions_path]
 
 
-def _recipe_table3(seed, samples, runs, generations, workers, out_dir):
+def _recipe_table3(out_dir):
     n, m_bits = 6, 6
     raw_mean, raw_sd = (1 << n) / 2, math.sqrt(1 << n) / 2
     norm_mean, norm_sd = normalized_limit(n, 1)
@@ -719,18 +553,6 @@ def _recipe_table3(seed, samples, runs, generations, workers, out_dir):
     path = out_dir / "table3_theory.csv"
     _write_csv(path, ["quantity", "n", "m", "mean", "sd"], rows)
     return {"n": n, "m_bits": m_bits}, [path]
-
-
-_RECIPE_BUILDERS = {
-    "fig4": _recipe_fig4,
-    "fig5": _recipe_fig5,
-    "fig6": _recipe_fig6,
-    "fig7": _recipe_fig7,
-    "fig8": _recipe_fig8,
-    "fig10": _recipe_fig10,
-    "table1": _recipe_table1,
-    "table3": _recipe_table3,
-}
 
 
 def _cmd_recipe(args) -> int:
@@ -755,7 +577,7 @@ def _cmd_recipe(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_sampling_flags(p, with_output_wire=False):
+def _add_sampling_flags(p):
     p.add_argument("--wires", type=int, required=True, help="bus width")
     p.add_argument("--lengths", required=True, help="comma-separated gate counts")
     p.add_argument("--samples", type=int, default=CI_SAMPLES, help="samples per length")
@@ -764,8 +586,7 @@ def _add_sampling_flags(p, with_output_wire=False):
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p.add_argument("--target", default=None, help="target truth-table file (default: six-multiplexor)")
     p.add_argument("--fill", type=int, choices=(0, 1), default=1, help="spare-wire constant")
-    if with_output_wire:
-        p.add_argument("--output-wire", type=int, default=0, dest="output_wire")
+    p.add_argument("--output-wire", type=int, default=0, dest="output_wire")
 
 
 def _add_search_flags(p):
@@ -775,10 +596,8 @@ def _add_search_flags(p):
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: REVCIRC_SEED or 0)")
     p.add_argument("--out", default=None, help="output directory (default: log to stdout)")
     p.add_argument("--target", default=None, help="target truth-table file (default: six-multiplexor)")
-    p.add_argument(
-        "--output-wire", default="0", dest="output_wire",
-        help="wire index to score, or 'best' for the best wire per circuit",
-    )
+    p.add_argument("--output-wire", default="0", dest="output_wire",
+                   help="wire index to score, or 'best' for the best wire per circuit")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -789,22 +608,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="fitness histograms of random circuits")
-    _add_sampling_flags(p, with_output_wire=True)
+    _add_sampling_flags(p)
     p.add_argument("--checkpoint", default=None,
                    help="checkpoint file for resumable runs")
     p.add_argument("--keep-zeros", action="store_true", help="emit zero-count rows")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("converge", help="mean/sd/TVD per length against the limit law")
-    _add_sampling_flags(p, with_output_wire=True)
+    _add_sampling_flags(p)
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("density", help="solution rates with exact Poisson intervals")
-    _add_sampling_flags(p, with_output_wire=True)
+    _add_sampling_flags(p)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("minscan", help="exhaustive solution counts for short circuits")
-    _add_sampling_flags(p)
+    p.add_argument("--wires", type=int, required=True, help="bus width")
+    p.add_argument("--lengths", required=True, help="comma-separated gate counts")
+    p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+    p.add_argument("--target", default=None, help="target truth-table file (default: six-multiplexor)")
+    p.add_argument("--fill", type=int, choices=(0, 1), default=1, help="spare-wire constant")
     p.add_argument("--no-prune", action="store_true", help="count reducible circuits too")
     p.set_defaults(func=_cmd_minscan)
 

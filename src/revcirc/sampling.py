@@ -71,6 +71,8 @@ class ExperimentConfig:
             raise ValueError("lengths must be non-negative")
         if self.samples_per_length < 1:
             raise ValueError("samples_per_length must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.target.n_inputs > self.wires:
             raise ValueError("target has more input bits than wires")
 

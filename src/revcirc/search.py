@@ -137,6 +137,8 @@ class _FitnessEngine:
             )
         if scoring != "best" and len(scoring) != target.m_outputs:
             raise ValueError("output map arity does not match target")
+        if scoring != "best" and any(w >= wires for w in scoring.wire_of_output):
+            raise ValueError("output wire outside the bus")
         if scoring == "best" and target.m_outputs != 1:
             raise ValueError("'best' scoring applies to single-output targets")
         self._machine_word = self.cases <= 64

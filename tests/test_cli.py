@@ -133,6 +133,39 @@ def test_minscan_guard_is_a_cli_error(tmp_path):
     assert rc == 1
 
 
+def test_minscan_refuses_sampling_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["minscan", "--wires", "6", "--lengths", "2", "--samples", "5"])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["hillclimb", "--budget", "10"],
+    ["ga", "--pop", "10", "--gens", "1"],
+])
+def test_search_rejects_output_wire_outside_the_bus(capsys, command):
+    rc = main(command + ["--wires", "6", "--gates", "5", "--runs", "1",
+                         "--output-wire", "9"])
+    assert rc == 1
+    assert "output wire outside the bus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--output-wire", "best"], "--compare-random needs a fixed output wire"),
+    (["--samples", "0"], "samples_per_length must be >= 1"),
+    (["--workers", "0"], "workers must be >= 1"),
+])
+def test_compare_random_is_checked_before_any_run(tmp_path, capsys, flags, message):
+    rc = main([
+        "hillclimb", "--wires", "6", "--gates", "5", "--runs", "2", "--budget", "50",
+        "--compare-random", "--out", str(tmp_path / "hc"),
+    ] + flags)
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "hc" / "runs.jsonl").exists()
+
+
 def test_hillclimb_artifacts(tmp_path):
     out_dir = tmp_path / "hc"
     rc = main([
@@ -320,6 +353,9 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
     rc = main(["sample", "--wires", "6", "--lengths", "bad", "--samples", "10",
                "--workers", "1"])
     assert rc == 1
+    rc = main(["sample", "--wires", "6", "--lengths", "3", "--samples", "10",
+               "--workers", "0"])
+    assert rc == 1
     capsys.readouterr()
     # Workers and checkpoints compose: same CSV as a serial run.
     sample = ["sample", "--wires", "6", "--lengths", "3,5", "--samples", "70000"]
@@ -329,3 +365,192 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
     assert main(sample + ["--workers", "1", "--out", str(tmp_path / "serial.csv")]) == 0
     serial = (tmp_path / "serial.csv").read_bytes()
     assert (tmp_path / "parallel.csv").read_bytes() == serial
+
+
+# SHA-256 pins of every other output path, recorded before the CSV writer,
+# the recipe table and the search-run path were folded together.  Each
+# search pin covers every file of the output directory plus stderr.
+SEARCH_COMMANDS = {
+    "hillclimb_compare_random": [
+        "hillclimb", "--wires", "6", "--gates", "5", "--runs", "3", "--seed", "7",
+        "--budget", "400", "--compare-random", "--samples", "20000", "--workers", "1",
+    ],
+    "hillclimb_solved": [
+        "hillclimb", "--wires", "12", "--gates", "20", "--runs", "2", "--seed", "8",
+        "--budget", "5000", "--output-wire", "best",
+    ],
+    "ga_best_solved": [
+        "ga", "--wires", "12", "--gates", "20", "--runs", "1", "--seed", "400",
+        "--gens", "300", "--output-wire", "best",
+    ],
+    "ga_wire0": [
+        "ga", "--wires", "6", "--gates", "5", "--runs", "2", "--seed", "1",
+        "--pop", "40", "--tournament", "3", "--gens", "5",
+    ],
+}
+SEARCH_DIR_DIGESTS = {
+    "ga_best_solved": {
+        "<stderr>": "c36aedee9afa077cc24bb48b175fe2e565ab70689fa108f51307a8301c9838a2",
+        "runs.jsonl": "84d1404967789438ac4487a9fd3d82308ba21ffc35ce53901acb8b3d4674933e",
+        "solutions.txt": "fb697e88fffc8e52f321a720fa53f363d6bf3a6f9e8a9b545ebd8cdaa0b41d98",
+        "summary.json": "5e1a5fbc7efa85f31a91a1befd81b7c2a7fba4da030cd12716ce3f363cbd9140",
+    },
+    "ga_wire0": {
+        "<stderr>": "b43065072557e82ee79d1fa5b7d36645c3b71deb2aed3e9c5145ab9621422b8d",
+        "runs.jsonl": "4c22da76908866407ec678717cb978758cb7110ec3af0265236b578285d59b8b",
+        "solutions.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "summary.json": "5a76a0ea808226dd85dabde192f15ed97aefcc5a2e43d1ef823ee27542a3df5a",
+    },
+    "hillclimb_compare_random": {
+        "<stderr>": "ecb629143712eb0e4d895d2e0f7992740603c252aeb723e0e1acdb108596de51",
+        "random_comparison.csv": "b6039811c590df26e3d7dfde261b7c2c9593bcfa2d43375adc04c8bf0e1bd1d9",
+        "runs.jsonl": "e2210580f2b8ab1fa2411c54a2de77cfb16170709f66abf7edc4362a585eece9",
+        "solutions.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "hillclimb_solved": {
+        "<stderr>": "3e3a64eb779dae2c35e4342495055d2351ebf26590dfd1949137d503f0cd9674",
+        "runs.jsonl": "7113b6d665063e4d2012701f95ee1118d5641f2eee90fe1385109d5e6db29ef4",
+        "solutions.txt": "be67e4a4f6f677b7a19e9fe73024a392de5ea253c96a83193842fe7def6c38c2",
+    },
+}
+
+STDOUT_COMMANDS = {
+    "sample": ["sample", "--wires", "7", "--lengths", "3,20", "--samples", "5000",
+               "--seed", "5", "--workers", "1"],
+    "sample_keep_zeros": ["sample", "--wires", "6", "--lengths", "4", "--samples",
+                          "3000", "--seed", "2", "--workers", "1", "--keep-zeros"],
+    "converge": ["converge", "--wires", "7", "--lengths", "5,50", "--samples", "6000",
+                 "--seed", "4", "--workers", "1"],
+    "density": ["density", "--wires", "6", "--lengths", "1,8", "--samples", "6000",
+                "--seed", "5", "--workers", "1"],
+    "minscan": ["minscan", "--wires", "6", "--lengths", "2"],
+    "limit_binomial": ["limit", "--kind", "binomial", "--n", "6", "--m", "1"],
+    "limit_parity": ["limit", "--kind", "parity-shifted"],
+    "limit_normalized": ["limit", "--kind", "normalized"],
+    "limit_rms": ["limit", "--kind", "rms", "--m", "6", "--regime", "exhaustive-uniform"],
+    "hillclimb": SEARCH_COMMANDS["hillclimb_compare_random"],
+    "ga": SEARCH_COMMANDS["ga_wire0"],
+}
+STDOUT_DIGESTS = {
+    "converge": (
+        "32aeec53c1e424a5019eb924b2917cc7765ab212b8a2ef8880eefa54ae67a5e2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "density": (
+        "228079eb9ac4ddd7b9a0a119e1a61a47d62bf58e1f3574253ee5e890ae501562",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "ga": (
+        "4c22da76908866407ec678717cb978758cb7110ec3af0265236b578285d59b8b",
+        "b43065072557e82ee79d1fa5b7d36645c3b71deb2aed3e9c5145ab9621422b8d",
+    ),
+    "hillclimb": (
+        "2c7a89d5a584d672bff333a639d66cb699d4a9000159af035c868c19f96238b3",
+        "ecb629143712eb0e4d895d2e0f7992740603c252aeb723e0e1acdb108596de51",
+    ),
+    "limit_binomial": (
+        "f0be9a8e42d8d1f747a4673877a16a036580664ebf7e5ad24d00b46d43dce978",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "limit_normalized": (
+        "0685a95ad848e639f3f45565f7a1ca672d6ba3a63ffdb11ad6f00fee6d0074dd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "limit_parity": (
+        "35559ebb36b43426d52720d1b69cb884ba207989aa9902ec7c217b533bddd41a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "limit_rms": (
+        "284ec2d025fcf81d43e9e4168a18a1b6da974eed7934db038e4c7707288aa784",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "minscan": (
+        "4e91b2bf1079834f90aa5d7f533373b91789dc185a97b81fc9a2240dca8d335a",
+        "de63ef600b595998bbfc05ba0fc3c54ab4c7a451f0f2992d6da0e397195a6435",
+    ),
+    "sample": (
+        "652de033dbafe5892391f66ffab5f033f521e6bfdb44e3a8cd87feec9f702a8f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "sample_keep_zeros": (
+        "8f4b2b1a5db4c8aa60e763a7fd44b4193a432ae3112a6db99998d83e49ddceab",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+TABLE1_DIGESTS = {
+    "table1_runs.jsonl": "8a031e2802504e4dae582146afc902ad0ae38b1e622fa012203f3627d9056fe8",
+    "table1_solutions.txt": "213897269e306b8b4e4dc7695dd7ec92321c7a48a660f5bd0bd1eec356505570",
+    "table1_success.csv": "ed4086b412937d0270d32c116625fc48bbe84ab4eb3d54a62c131c4f5bd1c432",
+}
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_COMMANDS))
+def test_search_output_dirs_are_pinned(tmp_path, capsys, name):
+    assert main(SEARCH_COMMANDS[name] + ["--out", str(tmp_path)]) == 0
+    digests = {p.name: _sha(p.read_bytes()) for p in sorted(tmp_path.iterdir())}
+    digests["<stderr>"] = _sha(capsys.readouterr().err)
+    assert digests == SEARCH_DIR_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_COMMANDS))
+def test_command_stdout_is_pinned(capsys, name):
+    assert main(STDOUT_COMMANDS[name]) == 0
+    captured = capsys.readouterr()
+    assert (_sha(captured.out), _sha(captured.err)) == STDOUT_DIGESTS[name]
+
+
+def test_table1_artifacts_are_pinned(tmp_path):
+    manifest = run_recipe("table1", seed=5, out_dir=tmp_path, runs=2, generations=300)
+    digests = {name: _sha((tmp_path / name).read_bytes()) for name in manifest["artifacts"]}
+    assert digests == TABLE1_DIGESTS
+
+
+# Manifest `parameters` and artifact names of every recipe; the benchmark
+# reads `parameters.wires` as an int for one bus width and a list otherwise.
+SIX_MUX_LENGTHS = [5, 10, 20, 50, 100, 500]
+RECIPE_MANIFESTS = {
+    "fig4": ({"wires": 6, "lengths": SIX_MUX_LENGTHS}, ["fig4_hist_w6.csv"]),
+    "fig5": ({"wires": 6, "lengths": SIX_MUX_LENGTHS}, ["fig5_prob_w6.csv"]),
+    "fig6": ({"wires": 7, "lengths": SIX_MUX_LENGTHS}, ["fig6_hist_w7.csv"]),
+    "fig7": (
+        {"wires": [6, 7, 12], "lengths": [20, 50, 100, 200, 500]},
+        ["fig7_series_w12.csv", "fig7_series_w6.csv", "fig7_series_w7.csv", "fig7_tvd.csv"],
+    ),
+    "fig8": (
+        {"wires": [6, 7, 12], "lengths": [5, 10, 20, 50, 100, 200, 500]},
+        ["fig8_mean_sd.csv"],
+    ),
+    "fig10": (
+        {"wires": 6, "lengths": [5, 6, 7, 8, 9, 10, 12, 15, 20, 30, 50]},
+        ["fig10_density_w6.csv"],
+    ),
+    "table1": (
+        {
+            "configs": [[6, 5], [12, 20]],
+            "runs": 1,
+            "hill_climb_budget": 5000,
+            "ga": {"population": 500, "tournament": 7, "generations": 3},
+        },
+        ["table1_runs.jsonl", "table1_solutions.txt", "table1_success.csv"],
+    ),
+    "table3": ({"n": 6, "m_bits": 6}, ["table3_theory.csv"]),
+}
+
+
+@pytest.mark.parametrize("recipe_id", sorted(RECIPE_MANIFESTS))
+def test_recipe_manifests_are_pinned(tmp_path, recipe_id):
+    extra = {"runs": 1, "generations": 3} if recipe_id == "table1" else {}
+    manifest = run_recipe(recipe_id, seed=3, out_dir=tmp_path, samples=256, **extra)
+    assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
+    wall = manifest.pop("wall_time_seconds")
+    assert wall >= 0
+    parameters, artifacts = RECIPE_MANIFESTS[recipe_id]
+    assert manifest == {
+        "recipe": recipe_id, "scale": "ci", "seed": 3, "samples_per_length": 256,
+        "workers": 1, "parameters": parameters, "artifacts": artifacts, **extra,
+    }

@@ -190,6 +190,9 @@ def test_config_validation():
         ExperimentConfig(wires=6, lengths=(5,), samples_per_length=0, target=TARGET)
     with pytest.raises(ValueError):
         ExperimentConfig(wires=5, lengths=(5,), samples_per_length=1, target=TARGET)
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            ExperimentConfig(lengths=(5,), workers=workers, **kw)
     with pytest.raises(TypeError):  # unknown fields are refused
         ExperimentConfig(wires=6, lengths=(5,), samples_per_length=1, target=TARGET,
                          backend="gpu")

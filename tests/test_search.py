@@ -288,6 +288,17 @@ def test_hill_climb_rejects_input_width_mismatch():
         hill_climb(start, 100, rng, target=TARGET)
 
 
+def test_search_rejects_output_wire_outside_the_bus():
+    rng = np.random.default_rng(50)
+    start = random_circuit(6, 5, rng, n_inputs=6)
+    with pytest.raises(ValueError, match="outside the bus"):
+        hill_climb(start, 10, rng, target=TARGET, scoring=OutputMap((9,)))
+    cfg = GAConfig(wires=6, length=5, target=TARGET, seed=1, population=10,
+                   generations=1, scoring=OutputMap((6,)))
+    with pytest.raises(ValueError, match="outside the bus"):
+        evolve(cfg)
+
+
 def test_ga_is_deterministic():
     cfg = GAConfig(wires=6, length=5, target=TARGET, seed=77, population=40,
                    tournament=5, generations=12)
