@@ -4,13 +4,13 @@ Random CCNOT gate arrays scored against the six-multiplexor settle, as the
 gate count grows, onto a limiting fitness distribution that depends only on
 the bus width:
 
-* 6 wires (no spares): the circuit is a permutation of the 64 case states,
-  the all-ones state among them, so fitness is always even and the limit is
+* 6 wires (no spares): the circuit is a permutation of the 64 case states
+  that fixes the all-zero state, so fitness is always even and the limit is
   a shifted hypergeometric law with mean 32.5.
 * 7+ wires (spare constant-1 lines): output columns become effectively
   uniform random bits and the limit is Binomial(64, 1/2) — mean 32, sd 4.
 
-This script samples a million circuits per length, prints the moments next
+This script samples 200,000 circuits per length, prints the moments next
 to the closed-form limits, and tracks the total variation distance.
 """
 

@@ -122,12 +122,15 @@ def _load_target(path: str | None) -> TargetTable:
 
 def _limit_for(wires: int, target: TargetTable) -> LimitModel:
     """The limiting law for this bus width: parity-shifted when the target
-    uses every wire (no spares), binomial once spare wires exist."""
+    uses every wire (no spares), binomial once spare wires exist.  The
+    parity-shifted law holds for 32 ones with case 0 wanting 0, as every
+    circuit fixes the all-zero bus."""
     if wires == target.n_inputs:
-        if (target.n_inputs, target.m_outputs) != (6, 1):
+        premises = (target.n_inputs, target.m_outputs) == (6, 1) and not target.answer(0)
+        if not premises or sum(map(target.answer, range(64))) != 32:
             raise ValueError(
                 "the no-spare limit law is implemented for 6-input single-output "
-                "targets with balanced truth tables"
+                "targets with balanced truth tables whose case 0 wants 0"
             )
         return parity_shifted_limit()
     return binomial_limit(target.n_inputs, target.m_outputs)
@@ -277,10 +280,10 @@ def _ga_log(run: int, record: RunRecord):
                "solved": record.solved and g == last}
 
 
-def _search_runs(args, target, seed, scoring, out_dir, log, **options) -> list[RunRecord]:
+def _search_runs(args, target, seed, scoring, out_dir, log, **options):
     """`args.runs` runs of `args.command`, run r seeded by [seed, r].  Each
     run's `log` entries go to `runs.jsonl` under `out_dir` (else stdout)
-    as JSON lines; solved circuits go to `solutions.txt`."""
+    as JSON lines.  Returns the records and the `solutions.txt` lines."""
     records, solution_lines = [], []
     if out_dir is None:
         stream = contextlib.nullcontext(sys.stdout)
@@ -297,9 +300,16 @@ def _search_runs(args, target, seed, scoring, out_dir, log, **options) -> list[R
             for entry in log(r, record):
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
             solution_lines += _solution_lines(args.command, r, record, scoring)
-    if out_dir is not None:
+    return records, solution_lines
+
+
+def _finish_search(summary: str, solution_lines: list[str], out_dir) -> None:
+    """Summary on stderr; solved circuits to `out_dir`, else to stderr too."""
+    print(summary, file=sys.stderr)
+    if out_dir is None:
+        sys.stderr.writelines(line + "\n" for line in solution_lines)
+    else:
         _write_lines(out_dir / "solutions.txt", solution_lines)
-    return records
 
 
 def _cmd_hillclimb(args) -> int:
@@ -315,14 +325,14 @@ def _cmd_hillclimb(args) -> int:
             target=target, outputs=scoring, seed=seed + 1, workers=args.workers,
         )
     out_dir = None if args.out is None else Path(args.out)
-    records = _search_runs(
+    records, solution_lines = _search_runs(
         args, target, seed, scoring, out_dir, _hillclimb_log,
         budget=args.budget, accept_equal=not args.strict,
     )
     solved = sum(r.solved for r in records)
     finals = [r.best_fitness_per_generation[-1] for r in records]
-    print(f"hillclimb: {solved}/{args.runs} solved; final fitness {sorted(finals)}",
-          file=sys.stderr)
+    summary = f"hillclimb: {solved}/{args.runs} solved; final fitness {sorted(finals)}"
+    _finish_search(summary, solution_lines, out_dir)
     if compare is not None:
         _compare_random(compare, records, out_dir)
     return 0
@@ -352,7 +362,7 @@ def _cmd_ga(args) -> int:
     seed = _resolve_seed(args.seed)
     scoring = _parse_output_wire(args.output_wire)
     out_dir = None if args.out is None else Path(args.out)
-    records = _search_runs(
+    records, solution_lines = _search_runs(
         args, target, seed, scoring, out_dir, _ga_log,
         population=args.pop, tournament=args.tournament, generations=args.gens,
     )
@@ -366,7 +376,7 @@ def _cmd_ga(args) -> int:
     if out_dir is not None:
         (out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     effort = f"; effort {summary['effort']}" if solved else ""
-    print(f"ga: {solved}/{args.runs} solved{effort}", file=sys.stderr)
+    _finish_search(f"ga: {solved}/{args.runs} solved{effort}", solution_lines, out_dir)
     return 0
 
 
@@ -526,7 +536,7 @@ def _recipe_table1(seed, runs, generations, out_dir):
     header = ["method", "wires", "gates", "scoring", "runs", "solved"]
     _write_csv(success_path, header, success_rows)
     runs_path = out_dir / "table1_runs.jsonl"
-    runs_path.write_text("\n".join(run_lines) + "\n")
+    _write_lines(runs_path, run_lines)
     solutions_path = out_dir / "table1_solutions.txt"
     _write_lines(solutions_path, solution_lines)
     params = {

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .core import Circuit, evaluate, to_permutation
+from .core import Circuit, evaluate, wire_patterns
 
 __all__ = [
     "TargetTable",
     "OutputMap",
     "FitnessValue",
+    "Scorer",
     "six_multiplexor_target",
     "hamming_fitness",
     "hamming_fitness_scalar",
@@ -158,20 +159,70 @@ def six_multiplexor_target() -> TargetTable:
     return TargetTable.from_function(6, 1, mux)
 
 
-def _check_compatible(circuit: Circuit, target: TargetTable, outputs: OutputMap):
-    if circuit.n_inputs != target.n_inputs:
-        raise ValueError(
-            f"circuit reads {circuit.n_inputs} input bits but target defines "
-            f"{target.n_inputs}"
-        )
-    if len(outputs) != target.m_outputs:
-        raise ValueError(
-            f"output map has {len(outputs)} wires but target has "
-            f"{target.m_outputs} output bits"
-        )
-    for w in outputs.wire_of_output:
-        if w >= circuit.wires:
-            raise ValueError(f"output wire {w} >= circuit wire count {circuit.wires}")
+WireScoring = OutputMap | Literal["best"]
+
+
+class Scorer:
+    """How final bus rows score against `target`: the one Hamming reduction
+    behind the fitness functions, the sampler, the scan and the search.
+
+    `scoring` is a fixed OutputMap (wire -1) or "best" (the best single wire,
+    ties to the lowest).  The constructor checks the shapes and builds the
+    initial rows `wire_patterns`.
+    """
+
+    def __init__(self, wires: int, n_inputs: int, constant_fill: int,
+                 target: TargetTable, scoring: WireScoring):
+        if n_inputs != target.n_inputs:
+            raise ValueError(
+                f"circuit feeds {n_inputs} input wires but the target table "
+                f"has {target.n_inputs} inputs"
+            )
+        if scoring == "best":
+            if target.m_outputs != 1:
+                raise ValueError("'best' scoring applies to single-output targets")
+        else:
+            if len(scoring) != target.m_outputs:
+                raise ValueError("output map arity does not match target")
+            if any(w >= wires for w in scoring.wire_of_output):
+                raise ValueError("output wire outside the bus")
+        self.target = target
+        self.scoring = scoring
+        self.wire_patterns = wire_patterns(wires, n_inputs, constant_fill)
+        self._cases = target.case_count
+        if self._cases <= 64:
+            self._words = np.array(target.rows, dtype=np.uint64)
+
+    def score_rows(self, rows: Sequence[int]) -> tuple[int, int]:
+        """(fitness, wire) of one bus as Python-int rows; wire is -1 under a
+        fixed map."""
+        cases, target_rows = self._cases, self.target.rows
+        if self.scoring == "best":
+            fits = [cases - (r ^ target_rows[0]).bit_count() for r in rows]
+            best = max(range(len(fits)), key=fits.__getitem__)  # first maximum
+            return fits[best], best
+        raw = 0
+        for w, t in zip(self.scoring.wire_of_output, target_rows):
+            raw += cases - (rows[w] ^ t).bit_count()
+        return raw, -1
+
+    def score_words(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(fitness, wire) arrays of B buses as (B, W) uint64 rows (n <= 6);
+        wire is -1 under a fixed map."""
+        if self.scoring == "best":
+            fits = self._cases - np.bitwise_count(rows ^ self._words[0]).astype(np.int64)
+            return fits.max(axis=1), fits.argmax(axis=1)
+        raw = np.zeros(len(rows), dtype=np.int64)
+        for w, word in zip(self.scoring.wire_of_output, self._words):
+            raw += self._cases
+            raw -= np.bitwise_count(rows[:, w] ^ word)
+        return raw, np.full(len(rows), -1, dtype=np.int64)
+
+
+def _score(circuit: Circuit, target: TargetTable, scoring: WireScoring):
+    scorer = Scorer(circuit.wires, circuit.n_inputs, circuit.constant_fill, target, scoring)
+    raw, wire = scorer.score_rows(evaluate(circuit).wire_rows)
+    return FitnessValue(raw, target.max_fitness), wire
 
 
 def hamming_fitness(
@@ -181,13 +232,7 @@ def hamming_fitness(
 ) -> FitnessValue:
     """Bit-parallel Hamming fitness: matches between realized and desired
     outputs, summed over all cases and output bits."""
-    _check_compatible(circuit, target, outputs)
-    trace = evaluate(circuit)
-    cases = target.case_count
-    raw = 0
-    for j, w in enumerate(outputs.wire_of_output):
-        raw += cases - (trace.wire_rows[w] ^ target.rows[j]).bit_count()
-    return FitnessValue(raw, target.max_fitness)
+    return _score(circuit, target, outputs)[0]
 
 
 def hamming_fitness_scalar(
@@ -199,8 +244,9 @@ def hamming_fitness_scalar(
 
     Runs every fitness case through the circuit one state at a time; used as
     an oracle for the bit-parallel path and to re-verify search solutions.
+    Only the shape checks are shared with `Scorer`.
     """
-    _check_compatible(circuit, target, outputs)
+    Scorer(circuit.wires, circuit.n_inputs, circuit.constant_fill, target, outputs)
     fill_bits = 0
     if circuit.constant_fill:
         for w in range(circuit.n_inputs, circuit.wires):
@@ -221,19 +267,10 @@ def best_wire_fitness(
 ) -> tuple[FitnessValue, int]:
     """Fitness of the best single output wire (m=1 targets only).
 
-    Returns (fitness, wire).  Complements nothing: a wire carrying the exact
-    complement of the target scores 0, not 2^n.
+    Returns (fitness, wire), ties to the lowest wire.  Complements nothing:
+    a wire carrying the exact complement of the target scores 0, not 2^n.
     """
-    if target.m_outputs != 1:
-        raise ValueError("best_wire_fitness applies to single-output targets")
-    trace = evaluate(circuit)
-    cases = target.case_count
-    best_raw, best_wire = -1, -1
-    for w in range(circuit.wires):
-        raw = cases - (trace.wire_rows[w] ^ target.rows[0]).bit_count()
-        if raw > best_raw:
-            best_raw, best_wire = raw, w
-    return FitnessValue(best_raw, target.max_fitness), best_wire
+    return _score(circuit, target, "best")
 
 
 def parity_of_reachable_fitness(wires: int, n: int = 6) -> str:
@@ -261,6 +298,8 @@ def rms_error(
     """
     if len(cases) == 0:
         raise ValueError("rms_error needs at least one case")
+    if any(w >= circuit.wires for w in outputs.wire_of_output):
+        raise ValueError("output wire outside the bus")
     trace = evaluate(circuit)
     m = len(outputs)
     total = 0.0

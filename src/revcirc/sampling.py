@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .core import evaluate_batch, gate_arrays, wire_patterns
-from .fitness import DEFAULT_OUTPUT, OutputMap, TargetTable
+from .core import evaluate_batch, gate_arrays
+from .fitness import DEFAULT_OUTPUT, OutputMap, Scorer, TargetTable
 from .theory import LimitModel, total_variation_distance
 
 __all__ = [
@@ -133,16 +133,9 @@ def sample_fitness_histogram(
     """
     if target.case_count > 64:
         raise ValueError("sampling engine packs cases into one word (n <= 6)")
-    if len(outputs) != target.m_outputs:
-        raise ValueError("output map arity does not match target")
+    scorer = Scorer(wires, target.n_inputs, constant_fill, target, outputs)
     n_gates = len(gate_arrays(wires)[0])
-    init_rows = np.array(
-        wire_patterns(wires, target.n_inputs, constant_fill), dtype=np.uint64
-    )
-    out_wires = np.array(outputs.wire_of_output, dtype=np.int64)
-    if (out_wires >= wires).any():
-        raise ValueError("output wire outside the bus")
-    target_rows = np.array([np.uint64(r) for r in target.rows], dtype=np.uint64)
+    init_rows = np.array(scorer.wire_patterns, dtype=np.uint64)
     counts = np.zeros(target.max_fitness + 1, dtype=np.int64)
     if initial_counts is not None:
         counts += np.asarray(initial_counts, dtype=np.int64)
@@ -153,11 +146,7 @@ def sample_fitness_histogram(
         batch = min(chunk_size, samples - c * chunk_size)
         rng = np.random.default_rng(np.random.SeedSequence([seed, length, c]))
         gate_idx = rng.integers(0, n_gates, size=(batch, length), dtype=np.uint16)
-        rows = evaluate_batch(gate_idx, init_rows)
-        fit = np.zeros(batch, dtype=np.intp)
-        for w, target_row in zip(out_wires, target_rows):
-            fit += target.case_count
-            fit -= np.bitwise_count(rows[:, w] ^ target_row)
+        fit, _ = scorer.score_words(evaluate_batch(gate_idx, init_rows))
         counts += np.bincount(fit, minlength=len(counts))
         added += batch
     prior = 0 if initial_counts is None else int(np.asarray(initial_counts).sum())
@@ -335,21 +324,18 @@ def exhaustive_min_scan(
     those reducible circuits; when no shorter solutions exist the counts are
     unchanged, which is the minimality-scan use case.
     """
-    if target.m_outputs != 1:
-        raise ValueError("minimality scan compares single-output targets")
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     if target.case_count > 64:
         raise ValueError("scan packs cases into one word (n <= 6)")
+    scorer = Scorer(wires, target.n_inputs, constant_fill, target, "best")
     n_gates = len(gate_arrays(wires)[0])
     if n_gates ** max_length > ENUMERATION_GUARD:
         raise ValueError(
             f"{n_gates}^{max_length} sequences exceed the enumeration guard "
             f"({ENUMERATION_GUARD:.0e})"
         )
-    root = np.array(
-        [wire_patterns(wires, target.n_inputs, constant_fill)], dtype=np.uint64
-    )
+    root = np.array([scorer.wire_patterns], dtype=np.uint64)
     counts = np.zeros(max_length + 1, dtype=np.int64)
     _scan_level(
         root, np.array([-1]), 1, max_length, np.uint64(target.rows[0]), prune, counts

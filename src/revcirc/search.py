@@ -1,5 +1,8 @@
 """Single-wire mutation, hill climbing, and the generational GA.
 
+Both searches run genomes here and score their final rows with
+`fitness.Scorer`, the scoring the sampler and the fitness functions share.
+
 The mutation operator changes exactly one wire of one gate.  The hill
 climber samples one mutant per step; by default it also accepts mutants of
 equal fitness (neutral drift).  Measured on the six-multiplexor at 6 wires
@@ -25,24 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    Circuit,
-    Gate,
-    enumerate_gates,
-    evaluate_batch,
-    gate_arrays,
-    random_circuit,
-    wire_patterns,
-)
+from .core import Circuit, Gate, enumerate_gates, evaluate_batch, gate_arrays
 from .fitness import (
     DEFAULT_OUTPUT,
-    OutputMap,
+    Scorer,
     TargetTable,
-    hamming_fitness,
+    WireScoring,
     six_multiplexor_target,
 )
 
@@ -56,9 +51,6 @@ __all__ = [
     "koza_effort",
     "coupon_collector_expected",
 ]
-
-WireScoring = OutputMap | Literal["best"]
-
 
 def mutate(circuit: Circuit, rng: np.random.Generator) -> Circuit:
     """One uniform single-wire mutation; never returns the input circuit."""
@@ -108,46 +100,18 @@ class RunRecord:
 
 
 class _FitnessEngine:
-    """Shared scoring for hill climbing and the GA.
+    """Genome running for hill climbing and the GA, scored by `fitness.Scorer`:
+    a population runs through `core.evaluate_batch` when the cases fit one
+    machine word (n <= 6), else genome by genome on Python-int rows."""
 
-    Holds the target row(s) as machine words when the case count fits one
-    (n <= 6), falling back to Python-int rows otherwise.  Scoring is either
-    a fixed OutputMap or 'best' (the best single wire per circuit).
-    """
-
-    def __init__(
-        self,
-        wires: int,
-        n_inputs: int,
-        constant_fill: int,
-        target: TargetTable,
-        scoring: WireScoring,
-    ):
+    def __init__(self, wires: int, n_inputs: int, constant_fill: int,
+                 target: TargetTable, scoring: WireScoring):
+        self.scorer = Scorer(wires, n_inputs, constant_fill, target, scoring)
         self.wires = wires
-        self.n_inputs = n_inputs
         self.constant_fill = constant_fill
-        self.target = target
-        self.scoring = scoring
-        self.cases = target.case_count
-        self.max_fitness = target.max_fitness
-        if n_inputs != target.n_inputs:
-            raise ValueError(
-                f"circuit feeds {n_inputs} input wires but the target table "
-                f"has {target.n_inputs} inputs"
-            )
-        if scoring != "best" and len(scoring) != target.m_outputs:
-            raise ValueError("output map arity does not match target")
-        if scoring != "best" and any(w >= wires for w in scoring.wire_of_output):
-            raise ValueError("output wire outside the bus")
-        if scoring == "best" and target.m_outputs != 1:
-            raise ValueError("'best' scoring applies to single-output targets")
-        self._machine_word = self.cases <= 64
-        self._patterns = wire_patterns(wires, n_inputs, constant_fill)
-        if self._machine_word:
-            self._init_rows = np.array(self._patterns, dtype=np.uint64)
-            self._target_rows = np.array(
-                [np.uint64(r) for r in target.rows], dtype=np.uint64
-            )
+        self._gate_code = None
+        if target.case_count <= 64:
+            self._init_rows = np.array(self.scorer.wire_patterns, dtype=np.uint64)
             # Gate code of every (target, control, control) slot triple, in
             # either control order, flattened as (t * W + a) * W + b.
             tg, ca, cb = gate_arrays(wires)
@@ -162,50 +126,23 @@ class _FitnessEngine:
         Returns (fitness, best_wire) where best_wire is -1 under fixed
         scoring.
         """
-        pop = genomes.shape[0]
-        if self._machine_word:
-            t, a, b = genomes[..., 0], genomes[..., 1], genomes[..., 2]
-            codes = self._gate_code.take((t * self.wires + a) * self.wires + b)
-            rows = evaluate_batch(codes, self._init_rows)
-            if self.scoring == "best":
-                fits_all = self.cases - np.bitwise_count(
-                    rows ^ self._target_rows[0]
-                ).astype(np.int64)
-                return fits_all.max(axis=1), fits_all.argmax(axis=1)
-            raw = np.zeros(pop, dtype=np.int64)
-            for j, w in enumerate(self.scoring.wire_of_output):
-                raw += self.cases - np.bitwise_count(
-                    rows[:, w] ^ self._target_rows[j]
-                ).astype(np.int64)
-            return raw, np.full(pop, -1, dtype=np.int64)
-        fits = np.empty(pop, dtype=np.int64)
-        wires_out = np.empty(pop, dtype=np.int64)
-        for i in range(pop):
-            fits[i], wires_out[i] = self.score_genome(genomes[i])
-        return fits, wires_out
+        if self._gate_code is None:
+            scores = [self.score_genome(genome) for genome in genomes]
+            return tuple(np.array(col, dtype=np.int64) for col in zip(*scores))
+        t, a, b = genomes[..., 0], genomes[..., 1], genomes[..., 2]
+        codes = self._gate_code.take((t * self.wires + a) * self.wires + b)
+        return self.scorer.score_words(evaluate_batch(codes, self._init_rows))
 
     def score_genome(self, genome: np.ndarray) -> tuple[int, int]:
-        rows = list(self._patterns)
+        rows = list(self.scorer.wire_patterns)
         for t, a, b in genome.tolist():
             rows[t] ^= rows[a] & rows[b]
-        if self.scoring == "best":
-            fits = [
-                self.cases - (rows[w] ^ self.target.rows[0]).bit_count()
-                for w in range(self.wires)
-            ]
-            best = max(range(self.wires), key=fits.__getitem__)  # first maximum
-            return fits[best], best
-        raw = sum(
-            self.cases - (rows[w] ^ self.target.rows[j]).bit_count()
-            for j, w in enumerate(self.scoring.wire_of_output)
-        )
-        return raw, -1
+        return self.scorer.score_rows(rows)
 
     def genome_to_circuit(self, genome: np.ndarray) -> Circuit:
         gates = [Gate(int(t), int(a), int(b)) for t, a, b in genome]
-        return Circuit(
-            self.wires, gates, self.n_inputs, self.target.m_outputs, self.constant_fill
-        )
+        target = self.scorer.target
+        return Circuit(self.wires, gates, target.n_inputs, target.m_outputs, self.constant_fill)
 
     @staticmethod
     def circuit_to_genome(circuit: Circuit) -> np.ndarray:
@@ -306,7 +243,7 @@ def hill_climb(
     evaluations = 1
     trajectory = [fit]
     first_hit = {fit: 1}
-    while evaluations < budget and fit < engine.max_fitness:
+    while evaluations < budget and fit < target.max_fitness:
         gi_backup = genome.copy()
         _mutate_genome_inplace(genome, start.wires, rng)
         cand_fit, cand_wire = engine.score_genome(genome)
@@ -318,7 +255,7 @@ def hill_climb(
         else:
             genome = gi_backup
         trajectory.append(fit)
-    solved = fit == engine.max_fitness
+    solved = fit == target.max_fitness
     return RunRecord(
         best_fitness_per_generation=trajectory,
         solved=solved,
@@ -366,18 +303,16 @@ def evolve(config: GAConfig) -> RunRecord:
     engine = _FitnessEngine(
         config.wires, n_inputs, config.constant_fill, config.target, config.scoring
     )
-    gates = enumerate_gates(config.wires)
-    gate_slots = np.array(
-        [[g.target, g.control_a, g.control_b] for g in gates], dtype=np.int64
-    )
+    every_gate = Circuit(config.wires, enumerate_gates(config.wires))
+    gate_slots = engine.circuit_to_genome(every_gate)
     pop, length = config.population, config.length
-    genomes = gate_slots[rng.integers(0, len(gates), size=(pop, length))]
+    genomes = gate_slots[rng.integers(0, len(gate_slots), size=(pop, length))]
     fits, wires_out = engine.score_population(genomes)
     best_per_gen = [int(fits.max())]
     mean_per_gen = [float(fits.mean())]
     evaluations = pop
     generation = 0
-    while fits.max() < engine.max_fitness and generation < config.generations:
+    while fits.max() < config.target.max_fitness and generation < config.generations:
         entries = rng.integers(0, pop, size=(pop, config.tournament))
         keys = fits[entries] + rng.random((pop, config.tournament))
         winners = entries[np.arange(pop), np.argmax(keys, axis=1)]
@@ -388,7 +323,7 @@ def evolve(config: GAConfig) -> RunRecord:
         best_per_gen.append(int(fits.max()))
         mean_per_gen.append(float(fits.mean()))
         generation += 1
-    solved = bool(fits.max() == engine.max_fitness)
+    solved = bool(fits.max() == config.target.max_fitness)
     solution = solution_wire = None
     if solved:
         idx = int(np.argmax(fits))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .core import enumerate_gates
+from .core import Circuit, enumerate_gates, to_permutation
 
 __all__ = [
     "LimitModel",
@@ -193,9 +193,7 @@ def gate_transition_matrix(wires: int) -> TransitionMatrix:
     matrix = np.zeros((size, size))
     w = 1.0 / len(gates)
     for g in gates:
-        both = ((states >> g.control_a) & (states >> g.control_b)) & 1
-        image = states ^ (both << g.target)
-        matrix[states, image] += w
+        matrix[states, to_permutation(Circuit(wires, [g])).mapping] += w
     return TransitionMatrix(matrix, states)
 
 

@@ -356,6 +356,22 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
     rc = main(["sample", "--wires", "6", "--lengths", "3", "--samples", "10",
                "--workers", "0"])
     assert rc == 1
+    # The no-spare limit law needs 32 ones with case 0 wanting 0.
+    zero = tmp_path / "zero.txt"
+    zero.write_text(TargetTable(6, 1, (0,)).to_text())
+    rc = main(["converge", "--wires", "6", "--lengths", "3", "--samples", "10",
+               "--workers", "1", "--target", str(zero)])
+    assert rc == 1
+    balanced = {
+        "mux": six_multiplexor_target(),
+        "d0": TargetTable.from_function(6, 1, lambda t: t & 1),
+        "parity": TargetTable.from_function(6, 1, lambda t: bin(t).count("1") & 1),
+    }
+    for name, target in balanced.items():
+        (tmp_path / name).write_text(target.to_text())
+        rc = main(["converge", "--wires", "6", "--lengths", "3", "--samples", "10",
+                   "--workers", "1", "--target", str(tmp_path / name)])
+        assert rc == 0
     capsys.readouterr()
     # Workers and checkpoints compose: same CSV as a serial run.
     sample = ["sample", "--wires", "6", "--lengths", "3,5", "--samples", "70000"]
@@ -502,6 +518,28 @@ def test_command_stdout_is_pinned(capsys, name):
     assert main(STDOUT_COMMANDS[name]) == 0
     captured = capsys.readouterr()
     assert (_sha(captured.out), _sha(captured.err)) == STDOUT_DIGESTS[name]
+
+
+def test_search_without_out_logs_solutions_to_stderr(capsys):
+    assert main(SEARCH_COMMANDS["hillclimb_solved"]) == 0
+    captured = capsys.readouterr()
+    for line in captured.out.splitlines():
+        json.loads(line)
+    summary, *solution_lines = captured.err.splitlines()
+    assert summary.startswith("hillclimb: 2/2 solved")
+    headers = [line for line in solution_lines if line.startswith("#")]
+    circuits = parse_circuits("\n".join(solution_lines))
+    assert len(headers) == len(circuits) == 2
+    for header, circuit in zip(headers, circuits):
+        wire = int(header.split("output_wire=")[1].split()[0])
+        fitness = hamming_fitness_scalar(circuit, six_multiplexor_target(), OutputMap((wire,)))
+        assert fitness.raw == 64
+
+
+def test_table1_without_runs_writes_empty_logs(tmp_path):
+    run_recipe("table1", seed=0, out_dir=tmp_path, runs=0)
+    assert (tmp_path / "table1_runs.jsonl").read_bytes() == b""
+    assert (tmp_path / "table1_solutions.txt").read_bytes() == b""
 
 
 def test_table1_artifacts_are_pinned(tmp_path):

@@ -117,6 +117,9 @@ def test_fitness_checks_compatibility():
         hamming_fitness(Circuit(6), target, OutputMap((6,)))  # wire off bus
     with pytest.raises(ValueError):
         hamming_fitness(Circuit(6), target, OutputMap((0, 1)))  # arity mismatch
+    for circuit in (Circuit(6, n_inputs=5), Circuit(7)):  # wrong input count
+        with pytest.raises(ValueError, match="6 inputs"):
+            best_wire_fitness(circuit, target)
 
 
 def test_parity_of_reachable_fitness():
@@ -173,6 +176,8 @@ def test_rms_error_validation():
         rms_error(Circuit(3), [(9, 0)], out)  # input outside case range
     with pytest.raises(ValueError):
         rms_error(Circuit(3), [(0, 4)], out)  # answer needs 3 bits
+    with pytest.raises(ValueError, match="outside the bus"):
+        rms_error(Circuit(6), [(0, 0)], OutputMap((9,)))
     assert rms_error(Circuit(3), [(0, 0)], OutputMap((0,))) == 0.0
 
 

@@ -10,6 +10,8 @@ from scipy.stats import chi2_contingency
 from revcirc.core import Circuit, Gate, random_circuit
 from revcirc.fitness import (
     OutputMap,
+    TargetTable,
+    best_wire_fitness,
     hamming_fitness,
     hamming_fitness_scalar,
     six_multiplexor_target,
@@ -270,6 +272,48 @@ def test_best_wire_scoring_reports_the_lowest_tied_wire():
     assert engine.score_genome(genome) == (max(fits), tied[0])
     best, wire = engine.score_population(genome[None])
     assert (int(best[0]), int(wire[0])) == (max(fits), tied[0])
+
+
+# 7 inputs, 128 cases: rows no longer fit a machine word.
+WIDE_TARGET = TargetTable.from_function(7, 1, lambda t: ((t >> 6) ^ (t >> (t >> 4 & 3))) & 1)
+
+
+@pytest.mark.parametrize("scoring", [OutputMap((7,)), "best"], ids=["wire7", "best"])
+def test_wide_target_search_scores_like_the_fitness_functions(monkeypatch, scoring):
+    """Past 64 cases the engine scores genome by genome on Python-int rows.
+    Every genome `evolve` and `hill_climb` score must get the fitness (and
+    wire) that `hamming_fitness` and `best_wire_fitness` give its circuit."""
+    scored = []
+    score_genome = _FitnessEngine.score_genome
+    score_population = _FitnessEngine.score_population
+
+    def recording_score_genome(self, genome):
+        result = score_genome(self, genome)
+        scored.append((self.genome_to_circuit(genome), result))
+        return result
+
+    def checked_score_population(self, genomes):
+        fits, wires = score_population(self, genomes)
+        for genome, fit, wire in zip(genomes, fits, wires):
+            assert (int(fit), int(wire)) == score_genome(self, genome)
+        return fits, wires
+
+    monkeypatch.setattr(_FitnessEngine, "score_genome", recording_score_genome)
+    monkeypatch.setattr(_FitnessEngine, "score_population", checked_score_population)
+    ga = evolve(GAConfig(wires=8, length=10, target=WIDE_TARGET, seed=3, population=20,
+                         generations=4, scoring=scoring))
+    rng = np.random.default_rng(51)
+    start = random_circuit(8, 10, rng, n_inputs=7)
+    hc = hill_climb(start, 60, rng, target=WIDE_TARGET, scoring=scoring)
+    assert len(scored) == ga.evaluations + hc.evaluations
+    for circuit, (fit, wire) in scored:
+        best, best_wire = best_wire_fitness(circuit, WIDE_TARGET)
+        if scoring == "best":
+            assert (fit, wire) == (best.raw, best_wire)
+            assert fit == hamming_fitness(circuit, WIDE_TARGET, OutputMap((wire,))).raw
+        else:
+            assert wire == -1
+            assert fit == hamming_fitness(circuit, WIDE_TARGET, scoring).raw <= best.raw
 
 
 def test_hill_climb_validates_budget():
