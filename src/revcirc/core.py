@@ -272,6 +272,51 @@ def evaluate_batch(gate_codes: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
     return bus.reshape(batch, wires)
 
 
+_DELTA_SWAP_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def output_row_batch(
+    gate_codes: np.ndarray, wires: int, n_inputs: int, constant_fill: int, wire: int
+) -> np.ndarray:
+    """Wire `wire`'s final (B,) uint64 row of B circuits on at most 6 wires.
+
+    Each circuit gets one word holding a set of bus states: the states with
+    bit `wire` set, pulled back through the gates last gate first (every
+    CCNOT is its own inverse) by one delta swap per gate.  That leaves the
+    starting states that end with `wire` at 1; case x starts in state x + F
+    (F the fill bits), so the row is the set shifted down by F.  Gate
+    columns are walked in EVALUATE_INDEX_BLOCK blocks, as in evaluate_batch.
+    """
+    if wires > 6:
+        raise ValueError(f"the states of {wires} wires do not fit one word")
+    if wires not in _DELTA_SWAP_CACHE:
+        # Gate code g swaps every state in masks[g] (bits a and b set, bit t
+        # clear) with that state + shifts[g] = 2^t.
+        tg, ca, cb = gate_arrays(wires)
+        s = np.arange(1 << wires)
+        swapped = (s >> ca[:, None]) & (s >> cb[:, None]) & ~(s >> tg[:, None]) & 1
+        masks = np.bitwise_or.reduce(swapped.astype(np.uint64) << s.astype(np.uint64), axis=1)
+        _DELTA_SWAP_CACHE[wires] = (masks, np.left_shift(1, tg).astype(np.uint64))
+    masks, shifts = _DELTA_SWAP_CACHE[wires]
+    batch, length = gate_codes.shape
+    states = sum(1 << s for s in range(1 << wires) if (s >> wire) & 1)
+    sets = np.full(batch, states, dtype=np.uint64)
+    d = np.empty(batch, dtype=np.uint64)
+    step = max(1, EVALUATE_INDEX_BLOCK // max(batch, 1))
+    backward = gate_codes.T[::-1]
+    for j in range(0, length, step):
+        codes = np.ascontiguousarray(backward[j : j + step], dtype=np.intp)
+        for m, sh in zip(masks.take(codes, mode="clip"), shifts.take(codes, mode="clip")):
+            np.right_shift(sets, sh, out=d)
+            d ^= sets
+            d &= m
+            sets ^= d
+            d <<= sh
+            sets ^= d
+    fill = constant_fill * ((1 << wires) - (1 << n_inputs))
+    return (sets >> np.uint64(fill)) & np.uint64((1 << (1 << n_inputs)) - 1)
+
+
 def wire_patterns(wires: int, n_inputs: int, constant_fill: int = 1) -> list[int]:
     """Initial trace rows: input wire w enumerates bit w of the case index,
     non-input wires are constant."""

@@ -212,11 +212,16 @@ class Scorer:
         if self.scoring == "best":
             fits = self._cases - np.bitwise_count(rows ^ self._words[0]).astype(np.int64)
             return fits.max(axis=1), fits.argmax(axis=1)
-        raw = np.zeros(len(rows), dtype=np.int64)
-        for w, word in zip(self.scoring.wire_of_output, self._words):
-            raw += self._cases
-            raw -= np.bitwise_count(rows[:, w] ^ word)
-        return raw, np.full(len(rows), -1, dtype=np.int64)
+        mapped = rows[:, list(self.scoring.wire_of_output)]
+        return self.score_outputs(mapped), np.full(len(rows), -1, dtype=np.int64)
+
+    def score_outputs(self, rows: np.ndarray) -> np.ndarray:
+        """Fitness of B buses under the fixed map, from their (B, m) uint64
+        output rows in map order (n <= 6)."""
+        raw = np.full(len(rows), self.target.max_fitness, dtype=np.int64)
+        for j, word in enumerate(self._words):
+            raw -= np.bitwise_count(rows[:, j] ^ word)
+        return raw
 
 
 def _score(circuit: Circuit, target: TargetTable, scoring: WireScoring):

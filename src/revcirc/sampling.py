@@ -1,11 +1,12 @@
 """Large-scale random-circuit experiments.
 
-The throughput core: sample millions of random circuits per length,
-evaluate them bit-parallel (one 64-bit word covers all cases when n <= 6)
-with the flat-index numpy engine `core.evaluate_batch`, and accumulate
-fitness histograms.  Sampling is chunked, and every chunk's generator is
-seeded from (seed, length, chunk index), so histograms are reproducible
-bit-for-bit regardless of worker count and runs can resume mid-stream.
+The throughput core: sample millions of random circuits per length, score
+them bit-parallel (one 64-bit word covers all cases when n <= 6) and
+accumulate fitness histograms.  Buses of up to 6 wires also fit every bus
+state in one word and pull each output wire back through the gates
+(`core.output_row_batch`); wider buses run forward (`core.evaluate_batch`).
+Chunk generators are seeded from (seed, length, chunk index), so histograms
+are bit-identical for any worker count and runs can resume mid-stream.
 
 Also here: exhaustive enumeration of all short circuits (minimality scans),
 expanded level by level over bounded blocks of bus states.
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .core import evaluate_batch, gate_arrays
+from .core import evaluate_batch, gate_arrays, output_row_batch
 from .fitness import DEFAULT_OUTPUT, OutputMap, Scorer, TargetTable
 from .theory import LimitModel, total_variation_distance
 
@@ -75,6 +76,8 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.target.n_inputs > self.wires:
             raise ValueError("target has more input bits than wires")
+        if self.target.case_count > 64:
+            raise ValueError("sampling engine packs cases into one word (n <= 6)")
 
 
 @dataclass
@@ -146,7 +149,12 @@ def sample_fitness_histogram(
         batch = min(chunk_size, samples - c * chunk_size)
         rng = np.random.default_rng(np.random.SeedSequence([seed, length, c]))
         gate_idx = rng.integers(0, n_gates, size=(batch, length), dtype=np.uint16)
-        fit, _ = scorer.score_words(evaluate_batch(gate_idx, init_rows))
+        if wires <= 6:  # every bus state fits one word: pull back the output wires
+            rows = [output_row_batch(gate_idx, wires, target.n_inputs, constant_fill, w)
+                    for w in outputs.wire_of_output]
+            fit = scorer.score_outputs(np.stack(rows, axis=1))
+        else:
+            fit, _ = scorer.score_words(evaluate_batch(gate_idx, init_rows))
         counts += np.bincount(fit, minlength=len(counts))
         added += batch
     prior = 0 if initial_counts is None else int(np.asarray(initial_counts).sum())

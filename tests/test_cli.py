@@ -166,6 +166,21 @@ def test_compare_random_is_checked_before_any_run(tmp_path, capsys, flags, messa
     assert not (tmp_path / "hc" / "runs.jsonl").exists()
 
 
+def test_compare_random_refuses_wide_target_before_any_run(tmp_path, capsys):
+    wide = tmp_path / "wide.txt"
+    wide.write_text(TargetTable.from_function(7, 1, lambda t: t & 1).to_text())
+    out_dir = tmp_path / "hc"
+    rc = main([
+        "hillclimb", "--wires", "8", "--gates", "5", "--runs", "2", "--budget", "50",
+        "--target", str(wide), "--compare-random", "--samples", "100",
+        "--workers", "1", "--out", str(out_dir),
+    ])
+    assert rc == 1
+    assert "n <= 6" in capsys.readouterr().err
+    assert not (out_dir / "runs.jsonl").exists()
+    assert not (out_dir / "solutions.txt").exists()
+
+
 def test_hillclimb_artifacts(tmp_path):
     out_dir = tmp_path / "hc"
     rc = main([

@@ -7,12 +7,15 @@ import pytest
 from scipy import stats
 
 from revcirc.core import (
+    EVALUATE_INDEX_BLOCK,
     BusPermutation,
     Circuit,
     Gate,
     enumerate_gates,
     evaluate,
+    evaluate_batch,
     format_circuit,
+    output_row_batch,
     parse_circuit,
     parse_circuits,
     random_circuit,
@@ -236,3 +239,27 @@ def test_bus_permutation_predicates():
     assert not BusPermutation(np.array([0, 0, 1], dtype=np.int64)).is_bijection()
     p = BusPermutation(np.array([1, 0], dtype=np.int64))
     assert p.is_bijection() and not p.is_identity()
+
+
+@pytest.mark.parametrize("wires", [3, 4, 5, 6])
+def test_output_row_batch_matches_evaluate_batch(wires):
+    """The backward one-word kernel gives every wire's row exactly as the
+    forward engine does, at every input width and fill, across index blocks."""
+    batch = 2048
+    assert EVALUATE_INDEX_BLOCK // batch < 40  # length 40 spans two blocks
+    rng = np.random.default_rng(wires)
+    n_gates = len(enumerate_gates(wires))
+    for length in (0, 1, 7, 40):
+        codes = rng.integers(0, n_gates, size=(batch, length), dtype=np.uint16)
+        for n_inputs in range(1, wires + 1):
+            for fill in (0, 1):
+                init = np.array(wire_patterns(wires, n_inputs, fill), dtype=np.uint64)
+                rows = evaluate_batch(codes, init)
+                for wire in range(wires):
+                    got = output_row_batch(codes, wires, n_inputs, fill, wire)
+                    assert np.array_equal(got, rows[:, wire]), (length, n_inputs, fill, wire)
+
+
+def test_output_row_batch_needs_one_word_of_states():
+    with pytest.raises(ValueError):
+        output_row_batch(np.zeros((1, 1), dtype=np.uint16), 7, 7, 1, 0)

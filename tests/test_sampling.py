@@ -88,25 +88,37 @@ def test_histogram_digests_are_pinned(wires, length, seed):
     assert digest == HISTOGRAM_DIGESTS[wires, length, seed]
 
 
-@pytest.mark.parametrize(
-    "wires,length,outputs,fill",
-    [(6, 7, DEFAULT_OUTPUT, 1), (7, 12, OutputMap((3,)), 0), (12, 20, OutputMap((9,)), 1)],
+# A 4-input target (x3 XOR x0.x1) and a 2-output one (mux, parity) on 6 inputs.
+FOUR_INPUT = TargetTable.from_function(4, 1, lambda t: (t >> 3 ^ t & t >> 1) & 1)
+MUX_AND_PARITY = TargetTable.from_function(
+    6, 2, lambda t: TARGET.answer(t) | (bin(t).count("1") & 1) << 1
 )
-def test_engine_matches_scalar_oracle(wires, length, outputs, fill):
+
+
+@pytest.mark.parametrize("wires,length,outputs,fill,target", [
+    pytest.param(6, 7, DEFAULT_OUTPUT, 1, TARGET, id="6-7-outputs0-1"),
+    pytest.param(7, 12, OutputMap((3,)), 0, TARGET, id="7-12-outputs1-0"),
+    pytest.param(12, 20, OutputMap((9,)), 1, TARGET, id="12-20-outputs2-1"),
+    pytest.param(5, 9, OutputMap((4,)), 0, FOUR_INPUT, id="5w-4in-fill-wire-fill0"),
+    pytest.param(5, 9, OutputMap((4,)), 1, FOUR_INPUT, id="5w-4in-fill-wire-fill1"),
+    pytest.param(6, 9, OutputMap((2, 5)), 1, MUX_AND_PARITY, id="6w-two-outputs"),
+])
+def test_engine_matches_scalar_oracle(wires, length, outputs, fill, target):
     """Rebuild every circuit of two small chunks from the chunks' own draws
     and score it case by case; the engine's histogram must be identical."""
     gates = enumerate_gates(wires)
     samples, chunk = 160, 100
-    expected = np.zeros(65, dtype=np.int64)
+    expected = np.zeros(target.max_fitness + 1, dtype=np.int64)
     for c in range(2):
         rng = np.random.default_rng(np.random.SeedSequence([5, length, c]))
         batch = min(chunk, samples - c * chunk)
         draws = rng.integers(0, len(gates), size=(batch, length), dtype=np.uint16)
         for row in draws:
-            circuit = Circuit(wires, [gates[g] for g in row], 6, constant_fill=fill)
-            expected[hamming_fitness_scalar(circuit, TARGET, outputs).raw] += 1
+            circuit = Circuit(wires, [gates[g] for g in row], target.n_inputs,
+                              constant_fill=fill)
+            expected[hamming_fitness_scalar(circuit, target, outputs).raw] += 1
     hist = sample_fitness_histogram(
-        wires, length, samples, seed=5, target=TARGET, outputs=outputs,
+        wires, length, samples, seed=5, target=target, outputs=outputs,
         constant_fill=fill, chunk_size=chunk,
     )
     assert np.array_equal(hist.counts, expected)
@@ -193,6 +205,9 @@ def test_config_validation():
     for workers in (0, -1):
         with pytest.raises(ValueError):
             ExperimentConfig(lengths=(5,), workers=workers, **kw)
+    wide = TargetTable.from_function(7, 1, lambda t: t & 1)
+    with pytest.raises(ValueError, match="n <= 6"):
+        ExperimentConfig(wires=8, lengths=(5,), samples_per_length=1, target=wide)
     with pytest.raises(TypeError):  # unknown fields are refused
         ExperimentConfig(wires=6, lengths=(5,), samples_per_length=1, target=TARGET,
                          backend="gpu")
