@@ -1,7 +1,7 @@
 """How short can a six-multiplexor circuit be?  Exhaustive answer: 6 gates.
 
 The scan enumerates every sequence of the 90 three-wire CCNOT gates on a
-6-wire bus, depth first, checking all six wires as candidate outputs.
+6-wire bus, level by level, checking all six wires as candidate outputs.
 Sequences with an adjacent repeated gate are pruned — CCNOT is self-inverse,
 so such a pair cancels and the circuit reduces to a shorter one.
 

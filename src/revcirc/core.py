@@ -162,13 +162,6 @@ class TruthTableTrace:
     wire_rows: list[int]
     case_count: int
 
-    def row(self, wire: int) -> int:
-        return self.wire_rows[wire]
-
-    def row_bits(self, wire: int) -> np.ndarray:
-        r = self.wire_rows[wire]
-        return np.array([(r >> t) & 1 for t in range(self.case_count)], dtype=np.uint8)
-
 
 @dataclass(frozen=True)
 class BusPermutation:

@@ -14,7 +14,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .core import Circuit, evaluate, wire_patterns
+from .core import Circuit, evaluate, evaluate_batch, output_row_batch, wire_patterns
 
 __all__ = [
     "TargetTable",
@@ -188,10 +188,12 @@ class Scorer:
                 raise ValueError("output wire outside the bus")
         self.target = target
         self.scoring = scoring
+        self.wires, self.constant_fill = wires, constant_fill
         self.wire_patterns = wire_patterns(wires, n_inputs, constant_fill)
         self._cases = target.case_count
         if self._cases <= 64:
             self._words = np.array(target.rows, dtype=np.uint64)
+            self._init_rows = np.array(self.wire_patterns, dtype=np.uint64)
 
     def score_rows(self, rows: Sequence[int]) -> tuple[int, int]:
         """(fitness, wire) of one bus as Python-int rows; wire is -1 under a
@@ -206,22 +208,28 @@ class Scorer:
             raw += cases - (rows[w] ^ t).bit_count()
         return raw, -1
 
-    def score_words(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(fitness, wire) arrays of B buses as (B, W) uint64 rows (n <= 6);
-        wire is -1 under a fixed map."""
-        if self.scoring == "best":
-            fits = self._cases - np.bitwise_count(rows ^ self._words[0]).astype(np.int64)
-            return fits.max(axis=1), fits.argmax(axis=1)
-        mapped = rows[:, list(self.scoring.wire_of_output)]
-        return self.score_outputs(mapped), np.full(len(rows), -1, dtype=np.int64)
+    def score_codes(self, gate_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(fitness, wire) arrays of B circuits given as (B, L) gate codes
+        (n <= 6); wire is -1 under a fixed map.
 
-    def score_outputs(self, rows: np.ndarray) -> np.ndarray:
-        """Fitness of B buses under the fixed map, from their (B, m) uint64
-        output rows in map order (n <= 6)."""
-        raw = np.full(len(rows), self.target.max_fitness, dtype=np.int64)
-        for j, word in enumerate(self._words):
-            raw -= np.bitwise_count(rows[:, j] ^ word)
-        return raw
+        A fixed map on a bus of up to 6 wires pulls each output row back on
+        one word per circuit (`core.output_row_batch`); otherwise every wire
+        runs forward (`core.evaluate_batch`).
+        """
+        if self.scoring == "best" or self.wires > 6:
+            rows = evaluate_batch(gate_codes, self._init_rows)
+            if self.scoring == "best":
+                fits = self._cases - np.bitwise_count(rows ^ self._words[0]).astype(np.int64)
+                return fits.max(axis=1), fits.argmax(axis=1)
+            outputs = [rows[:, w] for w in self.scoring.wire_of_output]
+        else:
+            n_inputs = self.target.n_inputs
+            outputs = [output_row_batch(gate_codes, self.wires, n_inputs, self.constant_fill, w)
+                       for w in self.scoring.wire_of_output]
+        raw = np.full(len(gate_codes), self.target.max_fitness, dtype=np.int64)
+        for row, word in zip(outputs, self._words):
+            raw -= np.bitwise_count(row ^ word)
+        return raw, np.full(len(gate_codes), -1, dtype=np.int64)
 
 
 def _score(circuit: Circuit, target: TargetTable, scoring: WireScoring):

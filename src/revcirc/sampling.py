@@ -2,9 +2,9 @@
 
 The throughput core: sample millions of random circuits per length, score
 them bit-parallel (one 64-bit word covers all cases when n <= 6) and
-accumulate fitness histograms.  Buses of up to 6 wires also fit every bus
-state in one word and pull each output wire back through the gates
-(`core.output_row_batch`); wider buses run forward (`core.evaluate_batch`).
+accumulate fitness histograms (`fitness.Scorer.score_codes`, which pulls
+the output wires of buses of up to 6 wires back through the gates on one
+word per circuit).
 Chunk generators are seeded from (seed, length, chunk index), so histograms
 are bit-identical for any worker count and runs can resume mid-stream.
 
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .core import evaluate_batch, gate_arrays, output_row_batch
+from .core import gate_arrays
 from .fitness import DEFAULT_OUTPUT, OutputMap, Scorer, TargetTable
 from .theory import LimitModel, total_variation_distance
 
@@ -138,7 +138,6 @@ def sample_fitness_histogram(
         raise ValueError("sampling engine packs cases into one word (n <= 6)")
     scorer = Scorer(wires, target.n_inputs, constant_fill, target, outputs)
     n_gates = len(gate_arrays(wires)[0])
-    init_rows = np.array(scorer.wire_patterns, dtype=np.uint64)
     counts = np.zeros(target.max_fitness + 1, dtype=np.int64)
     if initial_counts is not None:
         counts += np.asarray(initial_counts, dtype=np.int64)
@@ -149,12 +148,7 @@ def sample_fitness_histogram(
         batch = min(chunk_size, samples - c * chunk_size)
         rng = np.random.default_rng(np.random.SeedSequence([seed, length, c]))
         gate_idx = rng.integers(0, n_gates, size=(batch, length), dtype=np.uint16)
-        if wires <= 6:  # every bus state fits one word: pull back the output wires
-            rows = [output_row_batch(gate_idx, wires, target.n_inputs, constant_fill, w)
-                    for w in outputs.wire_of_output]
-            fit = scorer.score_outputs(np.stack(rows, axis=1))
-        else:
-            fit, _ = scorer.score_words(evaluate_batch(gate_idx, init_rows))
+        fit, _ = scorer.score_codes(gate_idx)
         counts += np.bincount(fit, minlength=len(counts))
         added += batch
     prior = 0 if initial_counts is None else int(np.asarray(initial_counts).sum())

@@ -1,38 +1,41 @@
 """Single-wire mutation, hill climbing, and the generational GA.
 
-Both searches run genomes here and score their final rows with
-`fitness.Scorer`, the scoring the sampler and the fitness functions share.
+A genome is a list of genes: ordered slot triples s = (t*W + a)*W + b,
+the control order kept because it decides which wire a control-slot draw
+rewrites.  One cached table (`_gene_tables`) gives each gene its gate code,
+its slots and its moves (one wire of one slot changed).  The hill climber
+and `mutate` draw one move at a time (`_mutate_genes`), the GA one per
+genome for the whole population (`_mutate_population`, the same move
+distribution), and `neighborhood_size` counts them.  Final rows are scored
+by `fitness.Scorer`, which the sampler and the fitness functions share.
 
-The mutation operator changes exactly one wire of one gate.  The hill
-climber samples one mutant per step; by default it also accepts mutants of
-equal fitness (neutral drift).  Measured on the six-multiplexor at 6 wires
-x 5 gates, strict better-only acceptance strands almost every run at the
-first strict local optimum (modally fitness 40, ~1% of runs reaching 56),
-while neutral drift reproduces the characteristic plateau at 56; the
-`accept_equal` flag selects between the two.
+The hill climber samples one mutant per step; by default it also accepts
+mutants of equal fitness (neutral drift).  Measured on the six-multiplexor
+at 6 wires x 5 gates, strict better-only acceptance strands almost every
+run at the first strict local optimum (modally fitness 40, ~1% of runs
+reaching 56), while neutral drift reproduces the characteristic plateau at
+56; the `accept_equal` flag selects between the two.
 
 The GA is generational and non-elitist: each child is a once-mutated copy
 of a tournament winner, with per-tournament uniform tie-breaking (breaking
 ties with a single per-individual key instead measurably slows neutral
-exploration of fitness plateaus).  It mutates the whole population in one
-draw (`_mutate_population`, the same move distribution as the scalar
-operator).  The hill climber and `mutate` keep the scalar operator, one
-mutant at a time.  Batching them does not pay: one batched mutate-and-score
-call costs 130-220 us for 1 to 16 mutants, a sequential evaluation 15-20
-us, and the neutral climber accepts 31% (6 wires x 5 gates) to 56% (12 x 20)
-of its mutants, so a speculative batch holds only 1.8-3.2 useful ones
-(2-core Xeon, numpy 2.4).
+exploration of fitness plateaus).  The hill climber does not batch its
+mutants: one batched mutate-and-score call costs 130-220 us for 1 to 16
+mutants, a sequential evaluation 15-20 us, and the neutral climber accepts
+31% (6 wires x 5 gates) to 56% (12 x 20) of its mutants, so a speculative
+batch holds only 1.8-3.2 useful ones (2-core Xeon, numpy 2.4).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Circuit, Gate, enumerate_gates, evaluate_batch, gate_arrays
+from .core import Circuit, Gate, gate_arrays
 from .fitness import (
     DEFAULT_OUTPUT,
     Scorer,
@@ -52,31 +55,101 @@ __all__ = [
     "coupon_collector_expected",
 ]
 
+
+class _GeneTables(NamedTuple):
+    code: np.ndarray  # (W^3,) gate code of each gene, -1 for an illegal triple
+    slots: np.ndarray  # (W^3, 3) its (t, a, b)
+    moves: np.ndarray  # (W^3, 3, W-1) per slot, the genes one legal change away
+    count: np.ndarray  # (W^3, 3) per slot, how many of `moves` are real
+
+
+@cache
+def _gene_tables(wires: int) -> _GeneTables:
+    """Gene tables on `wires` wires; gate codes index gate_arrays(wires).
+
+    The one statement of the legal-move rule: rewriting one slot of a gene
+    to another wire is a move when the new triple is a gate, so the target
+    avoids both controls and a control avoids the target (it may match the
+    other control).  A slot's moves are listed ascending by the new wire.
+    """
+    tg, ca, cb = gate_arrays(wires)
+    genes = np.arange(wires**3)
+    code = np.full(len(genes), -1, dtype=np.intp)
+    code[(tg * wires + ca) * wires + cb] = np.arange(len(tg))
+    code[(tg * wires + cb) * wires + ca] = np.arange(len(tg))
+    place = wires ** np.arange(2, -1, -1)  # weight of t, a, b in a gene
+    slots = genes[:, None] // place % wires
+    new = np.arange(wires)
+    rewrites = genes[:, None, None] + (new - slots[..., None]) * place[:, None]
+    legal = (code[rewrites] >= 0) & (new != slots[..., None])
+    first = np.argsort(~legal, axis=-1, kind="stable")[..., : wires - 1]
+    moves = np.take_along_axis(rewrites, first, axis=-1)
+    return _GeneTables(code, slots, moves, legal.sum(axis=-1))
+
+
+def _genes(circuit: Circuit) -> list[int]:
+    w = circuit.wires
+    return [(g.target * w + g.control_a) * w + g.control_b for g in circuit.gates]
+
+
+def _mutate_genes(genes, wires: int, rng: np.random.Generator) -> int:
+    """Make one move on one gene of a gene list (or array) in place.
+
+    Picks a gene uniformly, then one of its three slots, then one of that
+    slot's moves; a slot with no move (the target of a 3-wire gate with
+    distinct controls) is dropped and another drawn.  Returns the index of
+    the changed gene.
+    """
+    tables = _gene_tables(wires)
+    gi = int(rng.integers(0, len(genes)))
+    gene = genes[gi]
+    slots = [0, 1, 2]
+    while True:
+        slot = slots[int(rng.integers(0, len(slots)))]
+        n = int(tables.count[gene, slot])
+        if n:
+            genes[gi] = int(tables.moves[gene, slot, rng.integers(0, n)])
+            return gi
+        slots.remove(slot)
+
+
+def _mutate_population(genes: np.ndarray, wires: int, rng: np.random.Generator) -> None:
+    """Make `_mutate_genes`'s move on every row of a (pop, length) gene
+    array at once, with the same distribution: a gene per row, a slot per
+    row (a slot with no move is the target's, so its row picks one of the
+    two control slots uniformly), and one of that slot's moves.
+    """
+    tables = _gene_tables(wires)
+    rows = np.arange(len(genes))
+    gi = rng.integers(0, genes.shape[1], size=len(genes))
+    gene = genes[rows, gi]
+    count = tables.count[gene]
+    slot = rng.integers(count[:, 0] == 0, 3)
+    genes[rows, gi] = tables.moves[gene, slot, rng.integers(0, count[rows, slot])]
+
+
 def mutate(circuit: Circuit, rng: np.random.Generator) -> Circuit:
     """One uniform single-wire mutation; never returns the input circuit."""
     if len(circuit) < 1:
         raise ValueError("cannot mutate an empty circuit")
-    genome = _FitnessEngine.circuit_to_genome(circuit)
-    gi = _mutate_genome_inplace(genome, circuit.wires, rng)
-    return circuit.replace_gate(gi, Gate(*genome[gi].tolist()))
+    genes = _genes(circuit)
+    gi = _mutate_genes(genes, circuit.wires, rng)
+    t, a, b = _gene_tables(circuit.wires).slots[genes[gi]].tolist()
+    return circuit.replace_gate(gi, Gate(t, a, b))
 
 
 def neighborhood_size(circuit: Circuit) -> int:
-    """Number of single-mutation neighbours, summed per gate and per slot.
+    """Number of single-mutation neighbours: the moves of every gate's
+    three slots.
 
-    Per gate with distinct controls: (wires-3) target choices plus
-    2*(wires-2) control choices; with equal controls the target gains one
-    more choice.  Control slots are counted separately even though for an
-    equal-controls gate the two slots generate the same set of circuits, so
-    this matches neighbour accounting at the genome level (e.g. 580 vs 600
-    for 20 gates on 12 wires).
+    Control slots are counted separately even though for an equal-controls
+    gate the two slots generate the same set of circuits, so this matches
+    neighbour accounting at the genome level (e.g. 580 vs 600 for 20 gates
+    on 12 wires).
     """
-    w = circuit.wires
-    total = 0
-    for g in circuit.gates:
-        t_alts = w - 3 if g.control_a != g.control_b else w - 2
-        total += t_alts + 2 * (w - 2)
-    return total
+    if len(circuit) == 0:
+        return 0
+    return int(_gene_tables(circuit.wires).count[_genes(circuit)].sum())
 
 
 @dataclass
@@ -100,117 +173,41 @@ class RunRecord:
 
 
 class _FitnessEngine:
-    """Genome running for hill climbing and the GA, scored by `fitness.Scorer`:
-    a population runs through `core.evaluate_batch` when the cases fit one
-    machine word (n <= 6), else genome by genome on Python-int rows."""
+    """Genome scoring for hill climbing and the GA by `fitness.Scorer`: a
+    population in one batch of gate codes when the cases fit one machine
+    word (n <= 6), else genome by genome on Python-int rows."""
 
     def __init__(self, wires: int, n_inputs: int, constant_fill: int,
                  target: TargetTable, scoring: WireScoring):
         self.scorer = Scorer(wires, n_inputs, constant_fill, target, scoring)
         self.wires = wires
         self.constant_fill = constant_fill
-        self._gate_code = None
-        if target.case_count <= 64:
-            self._init_rows = np.array(self.scorer.wire_patterns, dtype=np.uint64)
-            # Gate code of every (target, control, control) slot triple, in
-            # either control order, flattened as (t * W + a) * W + b.
-            tg, ca, cb = gate_arrays(wires)
-            codes = np.arange(len(tg))
-            self._gate_code = np.zeros(wires**3, dtype=np.intp)
-            self._gate_code[(tg * wires + ca) * wires + cb] = codes
-            self._gate_code[(tg * wires + cb) * wires + ca] = codes
+        self.tables = _gene_tables(wires)
+        self._slots = self.tables.slots.tolist()
 
     def score_population(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fitness of every genome; genomes is (pop, length, 3) slot arrays.
+        """Fitness of every genome; genomes is a (pop, length) gene array.
 
         Returns (fitness, best_wire) where best_wire is -1 under fixed
         scoring.
         """
-        if self._gate_code is None:
+        if self.scorer.target.case_count > 64:
             scores = [self.score_genome(genome) for genome in genomes]
             return tuple(np.array(col, dtype=np.int64) for col in zip(*scores))
-        t, a, b = genomes[..., 0], genomes[..., 1], genomes[..., 2]
-        codes = self._gate_code.take((t * self.wires + a) * self.wires + b)
-        return self.scorer.score_words(evaluate_batch(codes, self._init_rows))
+        return self.scorer.score_codes(self.tables.code.take(genomes))
 
-    def score_genome(self, genome: np.ndarray) -> tuple[int, int]:
+    def score_genome(self, genome: Sequence[int]) -> tuple[int, int]:
         rows = list(self.scorer.wire_patterns)
-        for t, a, b in genome.tolist():
+        slots = self._slots
+        for gene in genome:
+            t, a, b = slots[gene]
             rows[t] ^= rows[a] & rows[b]
         return self.scorer.score_rows(rows)
 
-    def genome_to_circuit(self, genome: np.ndarray) -> Circuit:
-        gates = [Gate(int(t), int(a), int(b)) for t, a, b in genome]
+    def genome_to_circuit(self, genome: Sequence[int]) -> Circuit:
+        gates = [Gate(*self._slots[gene]) for gene in genome]
         target = self.scorer.target
         return Circuit(self.wires, gates, target.n_inputs, target.m_outputs, self.constant_fill)
-
-    @staticmethod
-    def circuit_to_genome(circuit: Circuit) -> np.ndarray:
-        return np.array(
-            [[g.target, g.control_a, g.control_b] for g in circuit.gates],
-            dtype=np.int64,
-        )
-
-
-def _mutate_genome_inplace(
-    genome: np.ndarray, wires: int, rng: np.random.Generator
-) -> int:
-    """Rewrite one wire of one gate of a (length, 3) slot array in place.
-
-    Picks a gate uniformly, then one of its three slots, then a legal
-    different wire for that slot: the target (slot 0) must avoid both
-    controls; a control (slot 1 or 2) must avoid the target and may match
-    the other control.  A slot with no legal wire is dropped and another
-    drawn.  Returns the index of the changed gate.
-    """
-    gi = int(rng.integers(0, genome.shape[0]))
-    t, a, b = genome[gi].tolist()
-    slots = [0, 1, 2]
-    while slots:
-        slot = slots[int(rng.integers(0, len(slots)))]
-        if slot == 0:
-            banned = {t, a, b}
-        elif slot == 1:
-            banned = {a, t}
-        else:
-            banned = {b, t}
-        alts = [w for w in range(wires) if w not in banned]
-        if alts:
-            genome[gi, slot] = alts[int(rng.integers(0, len(alts)))]
-            return gi
-        slots.remove(slot)
-    raise ValueError("gate has no legal single-wire mutants")
-
-
-def _mutate_population(
-    genomes: np.ndarray, wires: int, rng: np.random.Generator
-) -> None:
-    """Apply `_mutate_genome_inplace`'s move to every (length, 3) genome of a
-    (pop, length, 3) array at once, with the same distribution.
-
-    Three vector draws: a gate per genome, a slot per genome (a target slot
-    with no legal wire, that of a 3-wire gate with distinct controls, is
-    never drawn, so its gate picks one of its two control slots uniformly),
-    and a rank among the slot's legal wires, shifted past the banned ones.
-    """
-    pop, length = genomes.shape[:2]
-    rows = np.arange(pop)
-    gi = rng.integers(0, length, size=pop)
-    t, a, b = genomes[rows, gi].T
-    distinct = a != b
-    target_alts = wires - 2 - distinct
-    slot = rng.integers(target_alts == 0, 3)
-    on_target = slot == 0
-    # Banned wires, sorted per row; `wires` pads a row, as no rank reaches it.
-    banned = np.empty((pop, 3), dtype=genomes.dtype)
-    banned[:, 0] = t
-    banned[:, 1] = np.where(slot == 2, b, a)
-    banned[:, 2] = np.where(on_target & distinct, b, wires)
-    banned.sort(axis=1)
-    new = rng.integers(0, np.where(on_target, target_alts, wires - 2))
-    for k in range(3):
-        new += new >= banned[:, k]
-    genomes[rows, gi, slot] = new
 
 
 def hill_climb(
@@ -236,24 +233,22 @@ def hill_climb(
     engine = _FitnessEngine(
         start.wires, start.n_inputs, start.constant_fill, target, scoring
     )
-    genome = engine.circuit_to_genome(start)
-    if genome.shape[0] == 0:
+    genome = _genes(start)
+    if len(genome) == 0:
         raise ValueError("hill climbing needs at least one gate")
     fit, wire = engine.score_genome(genome)
     evaluations = 1
     trajectory = [fit]
     first_hit = {fit: 1}
     while evaluations < budget and fit < target.max_fitness:
-        gi_backup = genome.copy()
-        _mutate_genome_inplace(genome, start.wires, rng)
-        cand_fit, cand_wire = engine.score_genome(genome)
+        mutant = genome.copy()
+        _mutate_genes(mutant, start.wires, rng)
+        cand_fit, cand_wire = engine.score_genome(mutant)
         evaluations += 1
         if cand_fit > fit or (accept_equal and cand_fit == fit):
-            fit, wire = cand_fit, cand_wire
+            genome, fit, wire = mutant, cand_fit, cand_wire
             if fit not in first_hit:
                 first_hit[fit] = evaluations
-        else:
-            genome = gi_backup
         trajectory.append(fit)
     solved = fit == target.max_fitness
     return RunRecord(
@@ -279,7 +274,6 @@ class GAConfig:
     tournament: int = 7
     generations: int = 500
     scoring: WireScoring = DEFAULT_OUTPUT
-    n_inputs: int | None = None
     constant_fill: int = 1
 
     def __post_init__(self):
@@ -295,18 +289,17 @@ def evolve(config: GAConfig) -> RunRecord:
     `tournament` uniformly (with replacement) and mutates the winner once.
     Ties are broken uniformly per tournament.  Non-elitist; stops at the
     first generation containing a perfect circuit or after `generations`.
-    Each generation mutates the whole population in one vectorised draw;
-    the hill climber keeps the one-at-a-time operator (module docstring).
+    Each generation mutates the whole population in one vectorised draw.
     """
     rng = np.random.default_rng(config.seed)
-    n_inputs = config.target.n_inputs if config.n_inputs is None else config.n_inputs
+    w = config.wires
     engine = _FitnessEngine(
-        config.wires, n_inputs, config.constant_fill, config.target, config.scoring
+        w, config.target.n_inputs, config.constant_fill, config.target, config.scoring
     )
-    every_gate = Circuit(config.wires, enumerate_gates(config.wires))
-    gate_slots = engine.circuit_to_genome(every_gate)
+    tg, ca, cb = gate_arrays(w)
+    gate_genes = (tg * w + ca) * w + cb
     pop, length = config.population, config.length
-    genomes = gate_slots[rng.integers(0, len(gate_slots), size=(pop, length))]
+    genomes = gate_genes[rng.integers(0, len(gate_genes), size=(pop, length))]
     fits, wires_out = engine.score_population(genomes)
     best_per_gen = [int(fits.max())]
     mean_per_gen = [float(fits.mean())]
@@ -317,7 +310,7 @@ def evolve(config: GAConfig) -> RunRecord:
         keys = fits[entries] + rng.random((pop, config.tournament))
         winners = entries[np.arange(pop), np.argmax(keys, axis=1)]
         genomes = genomes[winners]
-        _mutate_population(genomes, config.wires, rng)
+        _mutate_population(genomes, w, rng)
         fits, wires_out = engine.score_population(genomes)
         evaluations += pop
         best_per_gen.append(int(fits.max()))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from revcirc.core import Circuit, Gate, random_circuit
+from revcirc.core import Circuit, Gate, enumerate_gates, random_circuit
 from revcirc.fitness import (
     OutputMap,
     TargetTable,
@@ -20,7 +20,9 @@ from revcirc.search import (
     GAConfig,
     RunRecord,
     _FitnessEngine,
-    _mutate_genome_inplace,
+    _gene_tables,
+    _genes,
+    _mutate_genes,
     _mutate_population,
     coupon_collector_expected,
     evolve,
@@ -60,8 +62,39 @@ def test_mutation_never_returns_the_same_circuit():
         assert mutate(c, rng) != c
 
 
-# Parent genomes mixing distinct and shared controls; the 3-wire gates with
-# distinct controls have a target slot with no legal wire.
+def gene(wires, t, a, b):
+    return (t * wires + a) * wires + b
+
+
+@pytest.mark.parametrize("wires", [3, 4, 6])
+def test_gene_tables_match_brute_force(wires):
+    """Every gene's gate code is its gate's position in enumerate_gates, and
+    each slot's moves are exactly the legal one-slot rewrites to another
+    wire, ascending by the new wire."""
+    tables = _gene_tables(wires)
+    gates = enumerate_gates(wires)
+    for t in range(wires):
+        for a in range(wires):
+            for b in range(wires):
+                s = gene(wires, t, a, b)
+                assert tables.slots[s].tolist() == [t, a, b]
+                if t in (a, b):
+                    assert tables.code[s] == -1
+                    continue
+                assert gates[tables.code[s]] == Gate(t, a, b)
+                for k in range(3):
+                    want = []
+                    for w in range(wires):
+                        triple = [t, a, b]
+                        triple[k] = w
+                        if w != [t, a, b][k] and triple[0] not in triple[1:]:
+                            want.append(gene(wires, *triple))
+                    n = tables.count[s, k]
+                    assert tables.moves[s, k, :n].tolist() == want
+
+
+# Parent genomes as slot triples, mixing distinct and shared controls; the
+# 3-wire gates with distinct controls have a target slot with no legal wire.
 POPULATION_PARENTS = {
     3: [[0, 1, 2], [2, 0, 0], [1, 2, 0]],
     4: [[0, 1, 2], [3, 1, 1], [2, 3, 0]],
@@ -70,9 +103,12 @@ POPULATION_PARENTS = {
 }
 
 
-def single_move(parent, child):
-    """(gate, slot, new wire) of a child differing from its parent in
-    exactly one slot; fails on any other child or an illegal gate."""
+def single_move(wires, parent, child):
+    """(gate, slot, new wire) of a child gene array differing from its
+    parent in exactly one slot; fails on any other child or an illegal
+    gate."""
+    slots = _gene_tables(wires).slots
+    parent, child = slots[parent], slots[child]
     gi, slot = np.nonzero(child != parent)
     assert len(gi) == 1
     t, a, b = child[gi[0]]
@@ -85,7 +121,7 @@ def test_population_mutation_matches_scalar_operator(wires):
     """The GA's one-draw population mutation makes the same moves with the
     same frequencies as the one-at-a-time operator: a two-sample
     contingency test of (gate, slot, new wire) counts at fixed seeds."""
-    parent = np.array(POPULATION_PARENTS[wires], dtype=np.int64)
+    parent = np.array([gene(wires, *g) for g in POPULATION_PARENTS[wires]])
     n = 12_000
     rng = np.random.default_rng(wires)
     batch = np.repeat(parent[None], n, axis=0)
@@ -93,9 +129,9 @@ def test_population_mutation_matches_scalar_operator(wires):
     scalar = []
     for _ in range(n):
         child = parent.copy()
-        _mutate_genome_inplace(child, wires, rng)
-        scalar.append(single_move(parent, child))
-    vector = [single_move(parent, child) for child in batch]
+        _mutate_genes(child, wires, rng)
+        scalar.append(single_move(wires, parent, child))
+    vector = [single_move(wires, parent, child) for child in batch]
     moves = sorted(set(scalar) | set(vector))
     table = np.array([
         [scalar.count(m) for m in moves], [vector.count(m) for m in moves]
@@ -268,10 +304,50 @@ def test_best_wire_scoring_reports_the_lowest_tied_wire():
     tied = [w for w, f in enumerate(fits) if f == max(fits)]
     assert len(tied) >= 2
     engine = _FitnessEngine(7, 6, 1, TARGET, "best")
-    genome = engine.circuit_to_genome(circuit)
+    genome = _genes(circuit)
     assert engine.score_genome(genome) == (max(fits), tied[0])
-    best, wire = engine.score_population(genome[None])
+    best, wire = engine.score_population(np.array([genome]))
     assert (int(best[0]), int(wire[0])) == (max(fits), tied[0])
+
+
+# Targets whose inputs leave fill wires free on 4 and 6 wires.
+THREE_INPUT_PAIR = TargetTable.from_function(3, 2, lambda t: (3 * t + 1) & 3)
+FOUR_INPUT = TargetTable.from_function(4, 1, lambda t: (t >> (t >> 2)) & 1)
+
+# (wires, target, fill, scoring): fixed maps on up to 6 wires are pulled
+# back on one word per circuit, the rest run forward.
+POPULATION_SCORING = [
+    (4, THREE_INPUT_PAIR, 0, OutputMap((3, 1))),
+    (4, THREE_INPUT_PAIR, 1, OutputMap((3, 1))),
+    (6, TARGET, 1, OutputMap((0,))),
+    (6, FOUR_INPUT, 0, OutputMap((5,))),
+    (6, FOUR_INPUT, 1, OutputMap((5,))),
+    (6, TARGET, 1, "best"),
+    (7, TARGET, 0, OutputMap((6,))),
+    (7, TARGET, 1, "best"),
+    (12, TARGET, 1, OutputMap((2,))),
+    (12, TARGET, 1, "best"),
+]
+
+
+@pytest.mark.parametrize("wires,target,fill,scoring", POPULATION_SCORING)
+def test_score_population_matches_the_fitness_functions(wires, target, fill, scoring):
+    """A random population of genes (controls in either order) scores, gene
+    array by gene array, what `hamming_fitness` or `best_wire_fitness` give
+    its circuits."""
+    engine = _FitnessEngine(wires, target.n_inputs, fill, target, scoring)
+    rng = np.random.default_rng(wires + fill)
+    legal = np.flatnonzero(_gene_tables(wires).code >= 0)
+    genomes = rng.choice(legal, size=(60, 9))
+    fits, best_wires = engine.score_population(genomes)
+    for genome, fit, wire in zip(genomes, fits, best_wires):
+        circuit = engine.genome_to_circuit(genome)
+        if scoring == "best":
+            best, best_wire = best_wire_fitness(circuit, target)
+            assert (fit, wire) == (best.raw, best_wire)
+        else:
+            assert (fit, wire) == (hamming_fitness(circuit, target, scoring).raw, -1)
+        assert (fit, wire) == engine.score_genome(genome)
 
 
 # 7 inputs, 128 cases: rows no longer fit a machine word.
