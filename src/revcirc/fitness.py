@@ -200,9 +200,13 @@ class Scorer:
         fixed map."""
         cases, target_rows = self._cases, self.target.rows
         if self.scoring == "best":
-            fits = [cases - (r ^ target_rows[0]).bit_count() for r in rows]
-            best = max(range(len(fits)), key=fits.__getitem__)  # first maximum
-            return fits[best], best
+            want = target_rows[0]
+            fewest, best = cases + 1, -1
+            for w, r in enumerate(rows):
+                misses = (r ^ want).bit_count()
+                if misses < fewest:  # strict: ties stay on the lowest wire
+                    fewest, best = misses, w
+            return cases - fewest, best
         raw = 0
         for w, t in zip(self.scoring.wire_of_output, target_rows):
             raw += cases - (rows[w] ^ t).bit_count()

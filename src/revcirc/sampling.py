@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaincinv
 
 from .core import gate_arrays
 from .fitness import DEFAULT_OUTPUT, OutputMap, Scorer, TargetTable
@@ -249,10 +249,11 @@ def convergence_series(
 
 
 def poisson_interval(count: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Exact (Garwood) confidence interval for a Poisson count."""
+    """Exact (Garwood) confidence interval for a Poisson count:
+    chi2.ppf(q, 2c) / 2 is gammaincinv(c, q), the same float."""
     alpha = 1 - confidence
-    lo = 0.0 if count == 0 else stats.chi2.ppf(alpha / 2, 2 * count) / 2
-    hi = stats.chi2.ppf(1 - alpha / 2, 2 * count + 2) / 2
+    lo = 0.0 if count == 0 else gammaincinv(count, alpha / 2)
+    hi = gammaincinv(count + 1, 1 - alpha / 2)
     return lo, hi
 
 

@@ -14,7 +14,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+
+# The private scipy.special ufuncs behind scipy's binom and hypergeom
+# distributions: they give pmfs and moments bit-identical to that
+# subpackage's (the pinned CSVs and digests were recorded with it) without
+# importing it, which costs about 1 s of every cold start.  Being private,
+# they are checked only on the scipy floor in pyproject.toml (1.17).
+from scipy.special._ufuncs import (
+    _binom_pmf,
+    _hypergeom_mean,
+    _hypergeom_pmf,
+    _hypergeom_variance,
+)
 
 from .core import Circuit, enumerate_gates, to_permutation
 
@@ -69,7 +80,7 @@ def binomial_limit(n: int, m: int = 1) -> LimitModel:
     sol = math.exp(-M * math.log(2)) if M * math.log(2) < 745 else 0.0
     pmf = None
     if M + 1 <= PMF_SIZE_GUARD:
-        pmf = stats.binom(M, 0.5).pmf(np.arange(M + 1))
+        pmf = _binom_pmf(np.arange(M + 1), M, 0.5)
     return LimitModel("binomial-hamming", n, m, mean, sd, sol, pmf)
 
 
@@ -89,15 +100,14 @@ def parity_shifted_limit() -> LimitModel:
     quoted by.  Perfect fitness has probability 1/C(63,32), about
     1.1e-18 — far above the binomial 2^-64 but still negligible.
     """
-    hg = stats.hypergeom(63, 32, 32)
-    k = np.arange(0, 33)
-    pk = hg.pmf(k)
+    k = np.arange(1, 33)  # the ufunc gives nan off the support, at k = 0
+    pk = _hypergeom_pmf(k, 32, 32, 63)
     pmf = np.zeros(65)
     pmf[2 * k] = pk
-    mean = 2 * hg.mean()
-    sd = 2 * hg.std()
+    mean = 2 * _hypergeom_mean(32, 32, 63)
+    sd = 2 * math.sqrt(_hypergeom_variance(32, 32, 63))
     return LimitModel(
-        "parity-shifted-hamming", 6, 1, float(mean), float(sd), float(pk[32]), pmf
+        "parity-shifted-hamming", 6, 1, float(mean), float(sd), float(pk[-1]), pmf
     )
 
 

@@ -24,6 +24,15 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def _source_tree_env():
+    """The environment of a fresh interpreter that imports revcirc from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 def test_console_script_is_installed():
     """Run the declared ``revcirc`` entry point the way an installed console
     script does (``sys.exit(main())``), from the source tree in a fresh
@@ -38,15 +47,22 @@ def test_console_script_is_installed():
         "sys.argv[0] = 'revcirc'\n"
         f"sys.exit({attr}())\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     out = subprocess.run(
         [sys.executable, "-c", wrapper, "--help"],
-        capture_output=True, text=True, check=True, env=env,
+        capture_output=True, text=True, check=True, env=_source_tree_env(),
     )
     assert "sample" in out.stdout and "recipe" in out.stdout
+
+
+def test_package_does_not_import_scipy_stats():
+    """scipy.stats costs about 1 s of a cold start; the package builds its
+    limit laws and Poisson intervals from scipy.special instead."""
+    probe = "import sys, revcirc, revcirc.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env=_source_tree_env(),
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_sample_csv_schema(tmp_path):

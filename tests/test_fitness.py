@@ -15,6 +15,7 @@ from revcirc.fitness import (
     hamming_fitness,
     hamming_fitness_scalar,
     parity_of_reachable_fitness,
+    Scorer,
     rms_error,
     six_multiplexor_target,
 )
@@ -99,6 +100,23 @@ def test_best_wire_is_max_over_wires():
         per_wire = [hamming_fitness(c, target, OutputMap((k,))).raw for k in range(w)]
         assert fv.raw == max(per_wire)
         assert per_wire[wire] == fv.raw
+
+
+def test_best_scoring_picks_the_lowest_of_tied_wires():
+    """score_rows under "best" equals the first maximum of the per-wire
+    counts, on rows drawn from a small pool so that wires often tie."""
+    rng = np.random.default_rng(31)
+    for n in (3, 6):
+        target = TargetTable.from_function(n, 1, lambda t: (t ^ (t >> 1)) & 1)
+        cases = target.case_count
+        for wires in (n, n + 1, 12):
+            scorer = Scorer(wires, n, 0, target, "best")
+            pool = [int(v) for v in rng.integers(0, 1 << cases, size=4, dtype=np.uint64)]
+            for _ in range(200):
+                rows = [pool[i] for i in rng.integers(0, len(pool), size=wires)]
+                fits = [cases - (r ^ target.rows[0]).bit_count() for r in rows]
+                first = max(range(wires), key=fits.__getitem__)
+                assert scorer.score_rows(rows) == (fits[first], first)
 
 
 def test_output_map_validation():

@@ -374,6 +374,20 @@ def test_poisson_interval_reference_values():
     assert hi == pytest.approx(121.63, abs=0.05)
 
 
+def test_poisson_interval_is_bit_identical_to_chi2_formula():
+    from scipy import stats
+
+    counts = np.array([*range(301), 10**4, 10**6])
+    for confidence in (0.5, 0.9, 0.95, 0.99, 0.999):
+        alpha = 1 - confidence
+        lo = stats.chi2.ppf(alpha / 2, 2 * counts) / 2
+        lo[0] = 0.0
+        hi = stats.chi2.ppf(1 - alpha / 2, 2 * counts + 2) / 2
+        got = np.array([poisson_interval(int(c), confidence) for c in counts])
+        assert np.array_equal(got[:, 0], lo), confidence
+        assert np.array_equal(got[:, 1], hi), confidence
+
+
 def test_convergence_series_checks_support():
     hist = sample_fitness_histogram(6, 5, 1000, seed=1, target=TARGET)
     small = TargetTable.from_function(3, 1, lambda t: t & 1)

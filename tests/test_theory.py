@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from revcirc.fitness import six_multiplexor_target
 from revcirc.theory import (
@@ -55,6 +56,26 @@ def test_parity_shifted_limit_moments():
     assert model.sd == pytest.approx(2 * math.sqrt(var), rel=1e-12)
     assert model.sd == pytest.approx(4.0, abs=1e-3)
     assert model.solution_probability == pytest.approx(1 / math.comb(63, 32), rel=1e-9)
+
+
+def test_binomial_limit_is_bit_identical_to_scipy_stats():
+    for n in range(9):
+        for m in (1, 2, 3):
+            M = m << n
+            want = stats.binom(M, 0.5).pmf(np.arange(M + 1))
+            assert np.array_equal(binomial_limit(n, m).pmf, want), (n, m)
+
+
+def test_parity_shifted_limit_is_bit_identical_to_scipy_stats():
+    hg = stats.hypergeom(63, 32, 32)
+    pk = hg.pmf(np.arange(33))
+    want = np.zeros(65)
+    want[::2] = pk
+    model = parity_shifted_limit()
+    assert np.array_equal(model.pmf, want)
+    assert model.mean == 2 * hg.mean()
+    assert model.sd == 2 * hg.std()
+    assert model.solution_probability == pk[32]
 
 
 def test_parity_shifted_limit_against_permutation_simulation():
