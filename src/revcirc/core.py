@@ -13,8 +13,8 @@ through the gate list evaluates the circuit on all 2^n input combinations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -49,19 +49,18 @@ class Gate:
     control_a: int
     control_b: int
 
-    def __init__(self, target: int, control_a: int, control_b: int):
-        if control_a > control_b:
-            control_a, control_b = control_b, control_a
-        if target == control_a or target == control_b:
+    def __post_init__(self):
+        a, b = self.control_a, self.control_b
+        if a > b:
+            object.__setattr__(self, "control_a", b)
+            object.__setattr__(self, "control_b", a)
+        if self.target in (self.control_a, self.control_b):
             raise ValueError(
-                f"gate target {target} may not share a wire with its controls "
-                f"({control_a}, {control_b})"
+                f"gate target {self.target} may not share a wire with its controls "
+                f"({self.control_a}, {self.control_b})"
             )
-        if min(target, control_a) < 0:
+        if min(self.target, self.control_a) < 0:
             raise ValueError("wire indices must be non-negative")
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "control_a", control_a)
-        object.__setattr__(self, "control_b", control_b)
 
     def max_wire(self) -> int:
         return max(self.target, self.control_b)
@@ -87,38 +86,26 @@ class Circuit:
     """
 
     wires: int
-    gates: tuple[Gate, ...]
-    n_inputs: int
+    gates: tuple[Gate, ...] = ()
+    n_inputs: int | None = None  # None: every wire is an input
     m_outputs: int = 1
     constant_fill: int = 1
 
-    def __init__(
-        self,
-        wires: int,
-        gates: Iterable[Gate] = (),
-        n_inputs: int | None = None,
-        m_outputs: int = 1,
-        constant_fill: int = 1,
-    ):
-        gates = tuple(gates)
-        if n_inputs is None:
-            n_inputs = wires
-        if wires < 1:
+    def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
+        if self.n_inputs is None:
+            object.__setattr__(self, "n_inputs", self.wires)
+        if self.wires < 1:
             raise ValueError("a circuit needs at least one wire")
-        if not 0 <= n_inputs <= wires:
-            raise ValueError(f"n_inputs {n_inputs} must lie in 0..wires ({wires})")
-        if not 0 <= m_outputs <= wires:
-            raise ValueError(f"m_outputs {m_outputs} must lie in 0..wires ({wires})")
-        if constant_fill not in (0, 1):
+        if not 0 <= self.n_inputs <= self.wires:
+            raise ValueError(f"n_inputs {self.n_inputs} must lie in 0..wires ({self.wires})")
+        if not 0 <= self.m_outputs <= self.wires:
+            raise ValueError(f"m_outputs {self.m_outputs} must lie in 0..wires ({self.wires})")
+        if self.constant_fill not in (0, 1):
             raise ValueError("constant_fill must be 0 or 1")
-        for g in gates:
-            if g.max_wire() >= wires:
-                raise ValueError(f"{g} references a wire >= wire count {wires}")
-        object.__setattr__(self, "wires", wires)
-        object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "n_inputs", n_inputs)
-        object.__setattr__(self, "m_outputs", m_outputs)
-        object.__setattr__(self, "constant_fill", constant_fill)
+        for g in self.gates:
+            if g.max_wire() >= self.wires:
+                raise ValueError(f"{g} references a wire >= wire count {self.wires}")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -126,28 +113,16 @@ class Circuit:
     def replace_gate(self, index: int, gate: Gate) -> "Circuit":
         gates = list(self.gates)
         gates[index] = gate
-        return Circuit(self.wires, gates, self.n_inputs, self.m_outputs, self.constant_fill)
+        return replace(self, gates=gates)
 
     def concat(self, other: "Circuit") -> "Circuit":
         if other.wires != self.wires:
             raise ValueError("cannot concatenate circuits with different wire counts")
-        return Circuit(
-            self.wires,
-            self.gates + other.gates,
-            self.n_inputs,
-            self.m_outputs,
-            self.constant_fill,
-        )
+        return replace(self, gates=self.gates + other.gates)
 
     def reversed(self) -> "Circuit":
         """Gates in reverse order: the inverse circuit (CCNOT is self-inverse)."""
-        return Circuit(
-            self.wires,
-            self.gates[::-1],
-            self.n_inputs,
-            self.m_outputs,
-            self.constant_fill,
-        )
+        return replace(self, gates=self.gates[::-1])
 
 
 @dataclass
@@ -213,22 +188,39 @@ def enumerate_gates(wires: int) -> list[Gate]:
     return gates
 
 
-# Gate codes per block of evaluate_batch index vectors (three 512 KiB arrays).
+# Gate codes per block of kernel index vectors (three 512 KiB arrays), and
+# bus words per block of evaluate_batch rows.
 EVALUATE_INDEX_BLOCK = 1 << 16
 
-_GATE_ARRAY_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-
+@cache
 def gate_arrays(wires: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(targets, controls_a, controls_b) of enumerate_gates as intp arrays,
     indexed by gate code (the position in enumerate_gates)."""
-    if wires not in _GATE_ARRAY_CACHE:
-        gates = enumerate_gates(wires)
-        tg = np.array([g.target for g in gates], dtype=np.intp)
-        ca = np.array([g.control_a for g in gates], dtype=np.intp)
-        cb = np.array([g.control_b for g in gates], dtype=np.intp)
-        _GATE_ARRAY_CACHE[wires] = (tg, ca, cb)
-    return _GATE_ARRAY_CACHE[wires]
+    fields = [(g.target, g.control_a, g.control_b) for g in enumerate_gates(wires)]
+    tables = np.array(fields, dtype=np.intp).T.copy()
+    tables.flags.writeable = False  # cached: every caller shares them
+    return tuple(tables)
+
+
+@cache
+def _delta_swaps(wires: int) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, shifts) by gate code: gate g swaps every state in masks[g]
+    (bits a and b set, bit t clear) with that state + shifts[g] = 2^t."""
+    tg, ca, cb = gate_arrays(wires)
+    s = np.arange(1 << wires)
+    swapped = (s >> ca[:, None]) & (s >> cb[:, None]) & ~(s >> tg[:, None]) & 1
+    masks = np.bitwise_or.reduce(swapped.astype(np.uint64) << s.astype(np.uint64), axis=1)
+    return masks, np.left_shift(1, tg).astype(np.uint64)
+
+
+def _code_blocks(columns: np.ndarray):
+    """The (L, B) gate-code columns as contiguous intp blocks of at most
+    EVALUATE_INDEX_BLOCK codes: bounded index memory, and few numpy calls
+    per column for small batches."""
+    step = max(1, EVALUATE_INDEX_BLOCK // max(columns.shape[1], 1))
+    for j in range(0, len(columns), step):
+        yield np.ascontiguousarray(columns[j : j + step], dtype=np.intp)
 
 
 def evaluate_batch(gate_codes: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
@@ -236,36 +228,34 @@ def evaluate_batch(gate_codes: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
 
     `gate_codes` is (B, L): row s lists circuit s's gates as codes into
     gate_arrays(W); `init_rows` is the (W,) uint64 starting bus.  Returns
-    the final (B, W) uint64 rows.  The bus is one flat array of B*W words,
-    and each gate column becomes three flat index vectors (row base + wire),
-    so a step is three 1-D gathers and one scatter into preallocated
-    buffers.  Index vectors are built for EVALUATE_INDEX_BLOCK codes at a
-    time, which bounds their memory and spares small batches most per-column
-    numpy calls.
+    the final (B, W) uint64 rows.  Circuits run in blocks of at most
+    EVALUATE_INDEX_BLOCK bus words, which keeps a block's bus in cache.  A
+    block's bus is one flat array, and each gate column becomes three flat
+    index vectors (row base + wire), so a step is three 1-D gathers and one
+    scatter into preallocated buffers.
     """
-    batch, length = gate_codes.shape
     wires = init_rows.shape[0]
     tg, ca, cb = gate_arrays(wires)
-    bus = np.tile(init_rows, batch)
-    base = np.arange(batch, dtype=np.intp) * wires
-    va, vb = (np.empty(batch, dtype=np.uint64) for _ in range(2))
-    step = max(1, EVALUATE_INDEX_BLOCK // max(batch, 1))
+    buses = np.empty((len(gate_codes), wires), dtype=np.uint64)
+    buses[:] = init_rows
+    per_block = max(1, EVALUATE_INDEX_BLOCK // wires)
     # Every index is in range by construction; mode="clip" spares take's
     # bounds-checked copy into `out`.
-    for j in range(0, length, step):
-        codes = np.ascontiguousarray(gate_codes[:, j : j + step].T, dtype=np.intp)
-        t, a, b = (wire.take(codes, mode="clip") + base for wire in (tg, ca, cb))
-        for tj, aj, bj in zip(t, a, b):
-            bus.take(aj, out=va, mode="clip")
-            bus.take(bj, out=vb, mode="clip")
-            va &= vb
-            bus.take(tj, out=vb, mode="clip")
-            vb ^= va
-            bus[tj] = vb
-    return bus.reshape(batch, wires)
-
-
-_DELTA_SWAP_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for r in range(0, len(buses), per_block):
+        codes = gate_codes[r : r + per_block]
+        bus = buses[r : r + per_block].reshape(-1)  # a view: writes land in `buses`
+        base = np.arange(len(codes), dtype=np.intp) * wires
+        va, vb = np.empty((2, len(codes)), dtype=np.uint64)
+        for block in _code_blocks(codes.T):
+            t, a, b = (wire.take(block, mode="clip") + base for wire in (tg, ca, cb))
+            for tj, aj, bj in zip(t, a, b):
+                bus.take(aj, out=va, mode="clip")
+                bus.take(bj, out=vb, mode="clip")
+                va &= vb
+                bus.take(tj, out=vb, mode="clip")
+                vb ^= va
+                bus[tj] = vb
+    return buses
 
 
 def output_row_batch(
@@ -277,29 +267,15 @@ def output_row_batch(
     bit `wire` set, pulled back through the gates last gate first (every
     CCNOT is its own inverse) by one delta swap per gate.  That leaves the
     starting states that end with `wire` at 1; case x starts in state x + F
-    (F the fill bits), so the row is the set shifted down by F.  Gate
-    columns are walked in EVALUATE_INDEX_BLOCK blocks, as in evaluate_batch.
+    (F the fill bits), so the row is the set shifted down by F.
     """
     if wires > 6:
         raise ValueError(f"the states of {wires} wires do not fit one word")
-    if wires not in _DELTA_SWAP_CACHE:
-        # Gate code g swaps every state in masks[g] (bits a and b set, bit t
-        # clear) with that state + shifts[g] = 2^t.
-        tg, ca, cb = gate_arrays(wires)
-        s = np.arange(1 << wires)
-        swapped = (s >> ca[:, None]) & (s >> cb[:, None]) & ~(s >> tg[:, None]) & 1
-        masks = np.bitwise_or.reduce(swapped.astype(np.uint64) << s.astype(np.uint64), axis=1)
-        _DELTA_SWAP_CACHE[wires] = (masks, np.left_shift(1, tg).astype(np.uint64))
-    masks, shifts = _DELTA_SWAP_CACHE[wires]
-    batch, length = gate_codes.shape
-    states = sum(1 << s for s in range(1 << wires) if (s >> wire) & 1)
-    sets = np.full(batch, states, dtype=np.uint64)
-    d = np.empty(batch, dtype=np.uint64)
-    step = max(1, EVALUATE_INDEX_BLOCK // max(batch, 1))
-    backward = gate_codes.T[::-1]
-    for j in range(0, length, step):
-        codes = np.ascontiguousarray(backward[j : j + step], dtype=np.intp)
-        for m, sh in zip(masks.take(codes, mode="clip"), shifts.take(codes, mode="clip")):
+    masks, shifts = _delta_swaps(wires)
+    sets = np.full(len(gate_codes), wire_patterns(wires, wires)[wire], dtype=np.uint64)
+    d = np.empty_like(sets)
+    for block in _code_blocks(gate_codes.T[::-1]):
+        for m, sh in zip(masks.take(block, mode="clip"), shifts.take(block, mode="clip")):
             np.right_shift(sets, sh, out=d)
             d ^= sets
             d &= m
@@ -317,15 +293,11 @@ def wire_patterns(wires: int, n_inputs: int, constant_fill: int = 1) -> list[int
         raise ValueError(f"{n_inputs} inputs will not fit on {wires} wires")
     if constant_fill not in (0, 1):
         raise ValueError("constant_fill must be 0 or 1")
-    cases = 1 << n_inputs
-    full = (1 << cases) - 1
-    rows = []
-    for w in range(wires):
-        if w < n_inputs:
-            rows.append(sum(1 << t for t in range(cases) if (t >> w) & 1))
-        else:
-            rows.append(full if constant_fill else 0)
-    return rows
+    full = (1 << (1 << n_inputs)) - 1
+    # Input row w repeats 2^w zeros then 2^w ones: full / (2^(2^w) + 1) is
+    # the ones-first run, shifted up by 2^w.
+    return [full // ((1 << (1 << w)) + 1) << (1 << w) if w < n_inputs else full * constant_fill
+            for w in range(wires)]
 
 
 def evaluate(circuit: Circuit) -> TruthTableTrace:

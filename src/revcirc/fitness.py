@@ -43,17 +43,15 @@ class TargetTable:
     m_outputs: int
     rows: tuple[int, ...]
 
-    def __init__(self, n_inputs: int, m_outputs: int, rows: Sequence[int]):
-        rows = tuple(int(r) for r in rows)
-        if len(rows) != m_outputs:
-            raise ValueError(f"expected {m_outputs} output rows, got {len(rows)}")
-        cases = 1 << n_inputs
+    def __post_init__(self):
+        rows = tuple(int(r) for r in self.rows)
+        object.__setattr__(self, "rows", rows)
+        if len(rows) != self.m_outputs:
+            raise ValueError(f"expected {self.m_outputs} output rows, got {len(rows)}")
+        cases = self.case_count
         for j, r in enumerate(rows):
             if r < 0 or r >> cases:
                 raise ValueError(f"output row {j} has bits beyond the {cases} cases")
-        object.__setattr__(self, "n_inputs", n_inputs)
-        object.__setattr__(self, "m_outputs", m_outputs)
-        object.__setattr__(self, "rows", rows)
 
     @property
     def case_count(self) -> int:
@@ -117,13 +115,13 @@ class OutputMap:
 
     wire_of_output: tuple[int, ...]
 
-    def __init__(self, wire_of_output: Sequence[int]):
-        wires = tuple(int(w) for w in wire_of_output)
+    def __post_init__(self):
+        wires = tuple(int(w) for w in self.wire_of_output)
+        object.__setattr__(self, "wire_of_output", wires)
         if len(set(wires)) != len(wires):
             raise ValueError("output wires must be distinct")
         if any(w < 0 for w in wires):
             raise ValueError("output wires must be non-negative")
-        object.__setattr__(self, "wire_of_output", wires)
 
     def __len__(self) -> int:
         return len(self.wire_of_output)

@@ -91,6 +91,30 @@ def test_gate_is_self_inverse():
         assert g.apply_to_state(g.apply_to_state(s)) == s
 
 
+def test_equal_gates_share_hash_and_repr():
+    g = Gate(2, 5, 1)
+    assert g == Gate(2, 1, 5)
+    assert hash(g) == hash(Gate(2, 1, 5))
+    assert repr(g) == repr(Gate(2, 1, 5)) == "Gate(target=2, controls=(1, 5))"
+
+
+def test_derived_circuits_keep_io_and_fill():
+    c = Circuit(7, [Gate(6, 0, 1), Gate(2, 3, 3)], n_inputs=5, m_outputs=2, constant_fill=0)
+    derived = [
+        c.replace_gate(-1, Gate(4, 5, 6)),
+        c.concat(Circuit(7, [Gate(0, 1, 2)])),
+        c.reversed(),
+    ]
+    for d in derived:
+        assert (d.wires, d.n_inputs, d.m_outputs, d.constant_fill) == (7, 5, 2, 0)
+        assert isinstance(d.gates, tuple)
+    assert derived[0].gates == (Gate(6, 0, 1), Gate(4, 5, 6))
+    assert derived[1].gates == c.gates + (Gate(0, 1, 2),)
+    assert derived[2].gates == c.gates[::-1]
+    with pytest.raises(ValueError, match="wire count"):
+        c.replace_gate(0, Gate(7, 0, 1))  # wire 7 is off the bus
+
+
 def test_circuit_validation():
     with pytest.raises(ValueError):
         Circuit(3, [Gate(0, 1, 3)])  # wire 3 out of range
@@ -163,6 +187,13 @@ def test_wire_patterns_values_and_validation():
     assert wire_patterns(3, 3) == [0xAA, 0xCC, 0xF0]
     assert wire_patterns(4, 3, 1)[3] == 0xFF
     assert wire_patterns(4, 3, 0)[3] == 0
+    for wires in range(1, 10):
+        for n in range(wires + 1):
+            for fill in (0, 1):
+                cases = range(1 << n)
+                want = [sum(1 << t for t in cases if ((t >> w) & 1 if w < n else fill))
+                        for w in range(wires)]
+                assert wire_patterns(wires, n, fill) == want, (wires, n, fill)
     with pytest.raises(ValueError):
         wire_patterns(3, 6)
     with pytest.raises(ValueError):
@@ -263,3 +294,21 @@ def test_output_row_batch_matches_evaluate_batch(wires):
 def test_output_row_batch_needs_one_word_of_states():
     with pytest.raises(ValueError):
         output_row_batch(np.zeros((1, 1), dtype=np.uint16), 7, 7, 1, 0)
+
+
+@pytest.mark.parametrize("wires", [7, 12])
+def test_evaluate_batch_row_blocks_match_evaluate(wires):
+    """A batch of one row block (EVALUATE_INDEX_BLOCK bus words) plus 37
+    circuits gives every circuit's rows as core.evaluate does, the partial
+    last block included, at both fills."""
+    batch = EVALUATE_INDEX_BLOCK // wires + 37
+    gates = enumerate_gates(wires)
+    rng = np.random.default_rng(wires)
+    codes = rng.integers(0, len(gates), size=(batch, 15), dtype=np.uint16)
+    circuits = [[gates[c] for c in row] for row in codes.tolist()]
+    for fill in (0, 1):
+        init = np.array(wire_patterns(wires, 6, fill), dtype=np.uint64)
+        rows = evaluate_batch(codes, init).tolist()
+        for s, circuit_gates in enumerate(circuits):
+            want = evaluate(Circuit(wires, circuit_gates, 6, 1, fill)).wire_rows
+            assert rows[s] == want, (fill, s)

@@ -127,6 +127,19 @@ def test_output_map_validation():
     assert len(DEFAULT_OUTPUT) == 1
 
 
+def test_value_types_normalise_to_int_tuples():
+    table = TargetTable(2, 2, [np.uint64(5), np.int64(10)])
+    assert table.rows == (5, 10) and all(type(r) is int for r in table.rows)
+    with pytest.raises(ValueError, match="output rows"):
+        TargetTable(2, 2, (5,))
+    with pytest.raises(ValueError, match="beyond"):
+        TargetTable(2, 1, (1 << 4,))
+    out = OutputMap([np.int64(3), 1])
+    assert out.wire_of_output == (3, 1) and all(type(w) is int for w in out.wire_of_output)
+    with pytest.raises(ValueError, match="distinct"):
+        OutputMap([np.int64(2), 2])
+
+
 def test_fitness_checks_compatibility():
     target = six_multiplexor_target()
     with pytest.raises(ValueError):
