@@ -18,8 +18,7 @@ import numpy as np
 
 from revcirc import (
     ExperimentConfig,
-    binomial_limit,
-    parity_shifted_limit,
+    limit_for,
     sample_distribution,
     six_multiplexor_target,
     total_variation_distance,
@@ -29,7 +28,7 @@ SAMPLES = 200_000
 LENGTHS = (5, 20, 100, 500)
 
 
-def describe(wires: int, limit) -> None:
+def describe(wires: int) -> None:
     config = ExperimentConfig(
         wires=wires,
         lengths=LENGTHS,
@@ -38,6 +37,7 @@ def describe(wires: int, limit) -> None:
         seed=2026,
         workers=1,
     )
+    limit = limit_for(wires, config.target)
     print(f"\n{wires} wires — limit: mean {limit.mean:.4f}, sd {limit.sd:.4f}")
     print(f"{'length':>7} {'mean':>9} {'sd':>8} {'TVD to limit':>13} {'odd values':>11}")
     for hist in sample_distribution(config):
@@ -51,9 +51,8 @@ def describe(wires: int, limit) -> None:
 
 def main() -> None:
     print(f"{SAMPLES:,} random circuits per length, lengths {LENGTHS}")
-    describe(6, parity_shifted_limit())
-    describe(7, binomial_limit(6, 1))
-    describe(12, binomial_limit(6, 1))
+    for wires in (6, 7, 12):
+        describe(wires)
     print(
         "\nNote the 6-wire column of zeros: without spare wires the circuit\n"
         "permutes the 64 fitness cases, and a permutation's wire-0 column\n"

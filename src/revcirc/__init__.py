@@ -7,112 +7,16 @@ the arrays grow long and wide, and how hill climbers and a genetic
 algorithm navigate that landscape on the six-multiplexor benchmark.
 """
 
-from .core import (
-    BusPermutation,
-    Circuit,
-    Gate,
-    TruthTableTrace,
-    enumerate_gates,
-    evaluate,
-    format_circuit,
-    parse_circuit,
-    parse_circuits,
-    random_circuit,
-    to_permutation,
-    wire_patterns,
-)
-from .fitness import (
-    DEFAULT_OUTPUT,
-    FitnessValue,
-    OutputMap,
-    TargetTable,
-    best_wire_fitness,
-    hamming_fitness,
-    hamming_fitness_scalar,
-    parity_of_reachable_fitness,
-    rms_error,
-    six_multiplexor_target,
-)
-from .sampling import (
-    ConvergenceSeries,
-    ExperimentConfig,
-    FitnessHistogram,
-    convergence_series,
-    exhaustive_min_scan,
-    poisson_interval,
-    sample_distribution,
-    sample_fitness_histogram,
-    solution_density,
-)
-from .search import (
-    GAConfig,
-    RunRecord,
-    coupon_collector_expected,
-    evolve,
-    hill_climb,
-    koza_effort,
-    mutate,
-    neighborhood_size,
-)
-from .theory import (
-    LimitModel,
-    TransitionMatrix,
-    binomial_limit,
-    gate_transition_matrix,
-    normalized_limit,
-    parity_shifted_limit,
-    rms_limit,
-    total_variation_distance,
-)
+from . import core, fitness, sampling, search, theory
+from .core import *
+from .fitness import *
+from .sampling import *
+from .search import *
+from .theory import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BusPermutation",
-    "Circuit",
-    "ConvergenceSeries",
-    "DEFAULT_OUTPUT",
-    "ExperimentConfig",
-    "FitnessHistogram",
-    "FitnessValue",
-    "GAConfig",
-    "Gate",
-    "LimitModel",
-    "OutputMap",
-    "RunRecord",
-    "TargetTable",
-    "TransitionMatrix",
-    "TruthTableTrace",
-    "best_wire_fitness",
-    "binomial_limit",
-    "convergence_series",
-    "coupon_collector_expected",
-    "enumerate_gates",
-    "evaluate",
-    "evolve",
-    "exhaustive_min_scan",
-    "format_circuit",
-    "gate_transition_matrix",
-    "hamming_fitness",
-    "hamming_fitness_scalar",
-    "hill_climb",
-    "koza_effort",
-    "mutate",
-    "neighborhood_size",
-    "normalized_limit",
-    "parity_of_reachable_fitness",
-    "parity_shifted_limit",
-    "parse_circuit",
-    "parse_circuits",
-    "poisson_interval",
-    "random_circuit",
-    "rms_error",
-    "sample_distribution",
-    "sample_fitness_histogram",
-    "six_multiplexor_target",
-    "solution_density",
-    "to_permutation",
-    "total_variation_distance",
-    "wire_patterns",
-    "__version__",
-]
+__all__ = sorted(
+    core.__all__ + fitness.__all__ + sampling.__all__ + search.__all__ + theory.__all__
+    + ["__version__"]
+)

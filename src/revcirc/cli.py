@@ -51,17 +51,11 @@ from .sampling import (
     solution_density,
 )
 from .search import GAConfig, RunRecord, evolve, hill_climb, koza_effort
-from .theory import (
-    LimitModel,
-    binomial_limit,
-    normalized_limit,
-    parity_shifted_limit,
-    rms_limit,
-)
+from .theory import binomial_limit, limit_for, normalized_limit, parity_shifted_limit, rms_limit
 
 _SIX_MUX_LENGTHS = (5, 10, 20, 50, 100, 500)
 # Sampling recipes on the six-multiplexor: id -> (bus widths, lengths,
-# artifact kind).  Each kind is written by `_sampling_recipe`.
+# artifact kind).  Each kind's rows come from `_sampling_rows`.
 _SAMPLING_RECIPES = {
     "fig4": ((6,), _SIX_MUX_LENGTHS, "hist"),
     "fig5": ((6,), _SIX_MUX_LENGTHS, "prob"),
@@ -74,10 +68,6 @@ RECIPE_IDS = (*_SAMPLING_RECIPES, "table1", "table3")
 CI_SAMPLES = 10**6
 FULL_SAMPLES = 10**8
 HILL_CLIMB_BUDGET = 5000
-
-_HIST_HEADER = ["length", "fitness", "count"]
-_SERIES_HEADER = ["length", "mean", "sd", "tvd", "solutions", "total"]
-_DENSITY_HEADER = ["length", "count", "rate", "ci_lo", "ci_hi"]
 
 
 # ---------------------------------------------------------------- helpers
@@ -120,82 +110,69 @@ def _load_target(path: str | None) -> TargetTable:
     return TargetTable.from_text(Path(path).read_text())
 
 
-def _limit_for(wires: int, target: TargetTable) -> LimitModel:
-    """The limiting law for this bus width: parity-shifted when the target
-    uses every wire (no spares), binomial once spare wires exist.  The
-    parity-shifted law holds for 32 ones with case 0 wanting 0, as every
-    circuit fixes the all-zero bus."""
-    if wires == target.n_inputs:
-        premises = (target.n_inputs, target.m_outputs) == (6, 1) and not target.answer(0)
-        if not premises or sum(map(target.answer, range(64))) != 32:
-            raise ValueError(
-                "the no-spare limit law is implemented for 6-input single-output "
-                "targets with balanced truth tables whose case 0 wants 0"
-            )
-        return parity_shifted_limit()
-    return binomial_limit(target.n_inputs, target.m_outputs)
+def _output(path: str | Path | None):
+    """A text stream to `path`, or to stdout when None."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="", encoding="utf-8")
 
 
 def _write_csv(path: str | Path | None, header: list[str], rows) -> None:
-    """Write `header` then `rows` as CSV to `path`, or to stdout when None."""
-    if path is None:
-        stream = contextlib.nullcontext(sys.stdout)
-    else:
-        stream = open(path, "w", newline="", encoding="utf-8")
-    with stream as fh:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("".join(line + "\n" for line in lines))
-
-
-def _hist_rows(hists, keep_zeros: bool = False) -> list[tuple[int, int, int]]:
-    return [
-        (h.length, f, int(c))
-        for h in hists
-        for f, c in enumerate(h.counts)
-        if c or keep_zeros
-    ]
+def _write_lines(path: str | Path | None, lines: list[str]) -> None:
+    with _output(path) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------- sampling commands
 
 
-def _experiment_config(args, target: TargetTable) -> ExperimentConfig:
-    return ExperimentConfig(
+def _sampling_rows(kind: str, config: ExperimentConfig, checkpoint=None, keep_zeros=False):
+    """(header, rows) of one sampling CSV for one bus width.  Kinds: hist
+    (counts per fitness), prob (probabilities next to the limit law's),
+    series (moments and TVD per length), mean_sd (moments next to the
+    limit's) and density (solution rates with Poisson intervals)."""
+    if kind == "density":
+        return ["length", "count", "rate", "ci_lo", "ci_hi"], solution_density(config)
+    limit = None if kind == "hist" else limit_for(config.wires, config.target)
+    hists = sample_distribution(config, checkpoint_path=checkpoint)
+    if kind == "hist":
+        return ["length", "fitness", "count"], [
+            (h.length, f, int(c)) for h in hists for f, c in enumerate(h.counts) if c or keep_zeros
+        ]
+    if kind == "prob":
+        return ["length", "fitness", "probability", "limit_probability"], [
+            (h.length, f, p, float(limit.pmf[f]))
+            for h in hists
+            for f, p in enumerate(h.distribution())
+            if p or limit.pmf[f]
+        ]
+    if kind == "series":
+        header = ["length", "mean", "sd", "tvd", "solutions", "total"]
+        return header, convergence_series(hists, limit).rows
+    return ["length", "mean", "sd", "limit_mean", "limit_sd"], [
+        (h.length, h.mean(), h.sd(), limit.mean, limit.sd) for h in hists
+    ]
+
+
+def _cmd_sampling(args) -> int:
+    """`sample`, `converge` and `density`: one CSV of `args.kind`."""
+    config = ExperimentConfig(
+        target=_load_target(args.target),
         wires=args.wires,
         lengths=_parse_lengths(args.lengths),
         samples_per_length=args.samples,
-        target=target,
         outputs=OutputMap((args.output_wire,)),
         seed=_resolve_seed(args.seed),
         workers=args.workers,
         constant_fill=args.fill,
     )
-
-
-def _cmd_sample(args) -> int:
-    config = _experiment_config(args, _load_target(args.target))
-    hists = sample_distribution(config, checkpoint_path=args.checkpoint)
-    _write_csv(args.out, _HIST_HEADER, _hist_rows(hists, args.keep_zeros))
-    return 0
-
-
-def _cmd_converge(args) -> int:
-    target = _load_target(args.target)
-    config = _experiment_config(args, target)
-    limit = _limit_for(config.wires, target)
-    series = convergence_series(sample_distribution(config), limit)
-    _write_csv(args.out, _SERIES_HEADER, series.rows)
-    return 0
-
-
-def _cmd_density(args) -> int:
-    config = _experiment_config(args, _load_target(args.target))
-    _write_csv(args.out, _DENSITY_HEADER, solution_density(config))
+    _write_csv(args.out, *_sampling_rows(args.kind, config, args.checkpoint, args.keep_zeros))
     return 0
 
 
@@ -285,12 +262,9 @@ def _search_runs(args, target, seed, scoring, out_dir, log, **options):
     run's `log` entries go to `runs.jsonl` under `out_dir` (else stdout)
     as JSON lines.  Returns the records and the `solutions.txt` lines."""
     records, solution_lines = [], []
-    if out_dir is None:
-        stream = contextlib.nullcontext(sys.stdout)
-    else:
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        stream = open(out_dir / "runs.jsonl", "w", encoding="utf-8")
-    with stream as fh:
+    with _output(None if out_dir is None else out_dir / "runs.jsonl") as fh:
         for r in range(args.runs):
             record = _search_run(
                 args.command, np.random.SeedSequence([seed, r]), args.wires,
@@ -384,11 +358,8 @@ def _cmd_ga(args) -> int:
 
 
 def _cmd_target(args) -> int:
-    text = six_multiplexor_target().to_text()
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as fh:
+        fh.write(six_multiplexor_target().to_text())
     return 0
 
 
@@ -472,28 +443,12 @@ def _sampling_recipe(recipe_id, seed, samples, workers, out_dir):
             wires=wires, lengths=lengths, samples_per_length=samples,
             target=target, seed=seed, workers=workers,
         )
-        if kind == "density":
-            header, rows = _DENSITY_HEADER, solution_density(config)
-        elif kind == "hist":
-            header, rows = _HIST_HEADER, _hist_rows(sample_distribution(config))
-        else:
-            hists, limit = sample_distribution(config), _limit_for(wires, target)
-            if kind == "prob":
-                header = ["length", "fitness", "probability", "limit_probability"]
-                rows = [
-                    (h.length, f, p, float(limit.pmf[f]))
-                    for h in hists
-                    for f, p in enumerate(h.distribution())
-                    if p or limit.pmf[f]
-                ]
-            elif kind == "series":
-                header, rows = _SERIES_HEADER, convergence_series(hists, limit).rows
-                combined += [(wires, r[0], r[3]) for r in rows]
-            else:  # mean_sd: one file for every width, written below
-                combined += [
-                    (wires, h.length, h.mean(), h.sd(), limit.mean, limit.sd) for h in hists
-                ]
-                continue
+        header, rows = _sampling_rows(kind, config)
+        if kind == "series":
+            combined += [(wires, r[0], r[3]) for r in rows]
+        elif kind == "mean_sd":  # one file for every width, written below
+            combined += [(wires, *r) for r in rows]
+            continue
         artifacts.append(out_dir / f"{recipe_id}_{kind}_w{wires}.csv")
         _write_csv(artifacts[-1], header, rows)
     if kind == "series":
@@ -501,8 +456,7 @@ def _sampling_recipe(recipe_id, seed, samples, workers, out_dir):
         _write_csv(artifacts[-1], ["wires", "length", "tvd"], combined)
     elif kind == "mean_sd":
         artifacts.append(out_dir / f"{recipe_id}_mean_sd.csv")
-        header = ["wires", "length", "mean", "sd", "limit_mean", "limit_sd"]
-        _write_csv(artifacts[-1], header, combined)
+        _write_csv(artifacts[-1], ["wires", *header], combined)
     wires_param = all_wires[0] if len(all_wires) == 1 else list(all_wires)
     return {"wires": wires_param, "lengths": list(lengths)}, artifacts
 
@@ -587,16 +541,13 @@ def _cmd_recipe(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_sampling_flags(p):
+def _add_bus_flags(p):
+    """Flags of every command that writes one CSV over a bus and lengths."""
     p.add_argument("--wires", type=int, required=True, help="bus width")
     p.add_argument("--lengths", required=True, help="comma-separated gate counts")
-    p.add_argument("--samples", type=int, default=CI_SAMPLES, help="samples per length")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default: REVCIRC_SEED or 0)")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1, help="parallel processes")
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p.add_argument("--target", default=None, help="target truth-table file (default: six-multiplexor)")
     p.add_argument("--fill", type=int, choices=(0, 1), default=1, help="spare-wire constant")
-    p.add_argument("--output-wire", type=int, default=0, dest="output_wire")
 
 
 def _add_search_flags(p):
@@ -617,27 +568,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="fitness histograms of random circuits")
-    _add_sampling_flags(p)
-    p.add_argument("--checkpoint", default=None,
-                   help="checkpoint file for resumable runs")
-    p.add_argument("--keep-zeros", action="store_true", help="emit zero-count rows")
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("converge", help="mean/sd/TVD per length against the limit law")
-    _add_sampling_flags(p)
-    p.set_defaults(func=_cmd_converge)
-
-    p = sub.add_parser("density", help="solution rates with exact Poisson intervals")
-    _add_sampling_flags(p)
-    p.set_defaults(func=_cmd_density)
+    for name, kind, help_text in (
+        ("sample", "hist", "fitness histograms of random circuits"),
+        ("converge", "series", "mean/sd/TVD per length against the limit law"),
+        ("density", "density", "solution rates with exact Poisson intervals"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_bus_flags(p)
+        p.add_argument("--samples", type=int, default=CI_SAMPLES, help="samples per length")
+        p.add_argument("--seed", type=int, default=None, help="RNG seed (default: REVCIRC_SEED or 0)")
+        p.add_argument("--workers", type=int, default=os.cpu_count() or 1, help="parallel processes")
+        p.add_argument("--output-wire", type=int, default=0, dest="output_wire")
+        p.set_defaults(func=_cmd_sampling, kind=kind, checkpoint=None, keep_zeros=False)
+        if kind == "hist":
+            p.add_argument("--checkpoint", help="checkpoint file for resumable runs")
+            p.add_argument("--keep-zeros", action="store_true", help="emit zero-count rows")
 
     p = sub.add_parser("minscan", help="exhaustive solution counts for short circuits")
-    p.add_argument("--wires", type=int, required=True, help="bus width")
-    p.add_argument("--lengths", required=True, help="comma-separated gate counts")
-    p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-    p.add_argument("--target", default=None, help="target truth-table file (default: six-multiplexor)")
-    p.add_argument("--fill", type=int, choices=(0, 1), default=1, help="spare-wire constant")
+    _add_bus_flags(p)
     p.add_argument("--no-prune", action="store_true", help="count reducible circuits too")
     p.set_defaults(func=_cmd_minscan)
 

@@ -13,7 +13,7 @@ through the gate list evaluates the circuit on all 2^n input combinations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -24,6 +24,8 @@ __all__ = [
     "TruthTableTrace",
     "BusPermutation",
     "enumerate_gates",
+    "evaluate",
+    "to_permutation",
     "random_circuit",
     "parse_circuit",
     "parse_circuits",
@@ -80,15 +82,14 @@ class Circuit:
     """An ordered CCNOT gate sequence over a fixed wire count.
 
     `n_inputs` wires (0 .. n-1) carry the fitness-case input bits; the
-    remaining wires are fed the constant `constant_fill`.  `m_outputs` only
-    declares how many output bits a target comparison will read; it does not
-    constrain the gates.  The empty circuit is the identity permutation.
+    remaining wires are fed the constant `constant_fill` (keyword-only).
+    The empty circuit is the identity permutation.
     """
 
     wires: int
     gates: tuple[Gate, ...] = ()
     n_inputs: int | None = None  # None: every wire is an input
-    m_outputs: int = 1
+    _: KW_ONLY
     constant_fill: int = 1
 
     def __post_init__(self):
@@ -99,8 +100,6 @@ class Circuit:
             raise ValueError("a circuit needs at least one wire")
         if not 0 <= self.n_inputs <= self.wires:
             raise ValueError(f"n_inputs {self.n_inputs} must lie in 0..wires ({self.wires})")
-        if not 0 <= self.m_outputs <= self.wires:
-            raise ValueError(f"m_outputs {self.m_outputs} must lie in 0..wires ({self.wires})")
         if self.constant_fill not in (0, 1):
             raise ValueError("constant_fill must be 0 or 1")
         for g in self.gates:
@@ -334,7 +333,7 @@ def random_circuit(
     length: int,
     rng: np.random.Generator,
     n_inputs: int | None = None,
-    m_outputs: int = 1,
+    *,
     constant_fill: int = 1,
 ) -> Circuit:
     """A circuit of `length` gates drawn independently and uniformly from
@@ -343,7 +342,7 @@ def random_circuit(
         raise ValueError("length must be >= 0")
     gates = enumerate_gates(wires)
     idx = rng.integers(0, len(gates), size=length)
-    return Circuit(wires, [gates[i] for i in idx], n_inputs, m_outputs, constant_fill)
+    return Circuit(wires, [gates[i] for i in idx], n_inputs, constant_fill=constant_fill)
 
 
 # Circuit text format, one circuit per line:
@@ -361,11 +360,7 @@ def format_circuit(circuit: Circuit) -> str:
 
 
 def parse_circuit(line: str, line_number: int = 1) -> Circuit:
-    """Parse one circuit line; errors carry line/column positions.
-
-    The format does not record output arity; parsed circuits default to
-    m_outputs=1 (callers reading wider outputs set it explicitly).
-    """
+    """Parse one circuit line; errors carry line/column positions."""
     m = _HEADER_RE.match(line.strip())
     if not m:
         raise ValueError(
@@ -396,7 +391,7 @@ def parse_circuit(line: str, line_number: int = 1) -> Circuit:
             )
         gates.append(gate)
     try:
-        return Circuit(wires, gates, n_inputs, 1, fill)
+        return Circuit(wires, gates, n_inputs, constant_fill=fill)
     except ValueError as e:
         raise ValueError(f"line {line_number}: {e}") from None
 

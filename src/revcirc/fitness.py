@@ -21,11 +21,11 @@ __all__ = [
     "OutputMap",
     "FitnessValue",
     "Scorer",
+    "DEFAULT_OUTPUT",
     "six_multiplexor_target",
     "hamming_fitness",
     "hamming_fitness_scalar",
     "best_wire_fitness",
-    "parity_of_reachable_fitness",
     "rms_error",
 ]
 
@@ -286,19 +286,6 @@ def best_wire_fitness(
     a wire carrying the exact complement of the target scores 0, not 2^n.
     """
     return _score(circuit, target, "best")
-
-
-def parity_of_reachable_fitness(wires: int, n: int = 6) -> str:
-    """Which six-multiplexor fitness values circuits can reach: 'even-only'
-    when there are no spare wires (wires == n), 'all' once spares exist.
-
-    With no spares the reachable bus permutations fix the all-zero state and
-    realize balanced output rows, which forces even Hamming agreement; one
-    spare wire already frees every value.
-    """
-    if wires < n:
-        raise ValueError(f"need at least {n} wires to house {n} inputs")
-    return "even-only" if wires == n else "all"
 
 
 def rms_error(

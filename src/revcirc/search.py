@@ -206,8 +206,8 @@ class _FitnessEngine:
 
     def genome_to_circuit(self, genome: Sequence[int]) -> Circuit:
         gates = [Gate(*self._slots[gene]) for gene in genome]
-        target = self.scorer.target
-        return Circuit(self.wires, gates, target.n_inputs, target.m_outputs, self.constant_fill)
+        return Circuit(self.wires, gates, self.scorer.target.n_inputs,
+                       constant_fill=self.constant_fill)
 
 
 def hill_climb(

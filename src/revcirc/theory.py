@@ -28,12 +28,14 @@ from scipy.special._ufuncs import (
 )
 
 from .core import Circuit, enumerate_gates, to_permutation
+from .fitness import TargetTable
 
 __all__ = [
     "LimitModel",
     "TransitionMatrix",
     "binomial_limit",
     "parity_shifted_limit",
+    "limit_for",
     "normalized_limit",
     "rms_limit",
     "gate_transition_matrix",
@@ -109,6 +111,25 @@ def parity_shifted_limit() -> LimitModel:
     return LimitModel(
         "parity-shifted-hamming", 6, 1, float(mean), float(sd), float(pk[-1]), pmf
     )
+
+
+def limit_for(wires: int, target: TargetTable) -> LimitModel:
+    """The limiting law of random circuits on `wires` wires scored against
+    `target`: parity-shifted when the target uses every wire (no spares),
+    binomial once spare wires exist.  The parity-shifted law holds for a
+    6-input single-output target with 32 ones whose case 0 wants 0, as every
+    circuit fixes the all-zero bus."""
+    n = target.n_inputs
+    if wires < n:
+        raise ValueError(f"need at least {n} wires to house {n} inputs")
+    if wires > n:
+        return binomial_limit(n, target.m_outputs)
+    if (n, target.m_outputs) != (6, 1) or target.rows[0] & 1 or target.rows[0].bit_count() != 32:
+        raise ValueError(
+            "the no-spare limit law is implemented for 6-input single-output "
+            "targets with balanced truth tables whose case 0 wants 0"
+        )
+    return parity_shifted_limit()
 
 
 def normalized_limit(n: int, m: int = 1) -> tuple[float, float]:

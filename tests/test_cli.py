@@ -156,6 +156,15 @@ def test_minscan_refuses_sampling_flags(capsys):
     assert "--samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["converge", "density"])
+@pytest.mark.parametrize("flag", [["--checkpoint", "ck.json"], ["--keep-zeros"]])
+def test_only_sample_takes_checkpoint_and_keep_zeros(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--wires", "6", "--lengths", "2", "--samples", "5"] + flag)
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["hillclimb", "--budget", "10"],
     ["ga", "--pop", "10", "--gens", "1"],

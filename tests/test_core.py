@@ -99,14 +99,14 @@ def test_equal_gates_share_hash_and_repr():
 
 
 def test_derived_circuits_keep_io_and_fill():
-    c = Circuit(7, [Gate(6, 0, 1), Gate(2, 3, 3)], n_inputs=5, m_outputs=2, constant_fill=0)
+    c = Circuit(7, [Gate(6, 0, 1), Gate(2, 3, 3)], n_inputs=5, constant_fill=0)
     derived = [
         c.replace_gate(-1, Gate(4, 5, 6)),
         c.concat(Circuit(7, [Gate(0, 1, 2)])),
         c.reversed(),
     ]
     for d in derived:
-        assert (d.wires, d.n_inputs, d.m_outputs, d.constant_fill) == (7, 5, 2, 0)
+        assert (d.wires, d.n_inputs, d.constant_fill) == (7, 5, 0)
         assert isinstance(d.gates, tuple)
     assert derived[0].gates == (Gate(6, 0, 1), Gate(4, 5, 6))
     assert derived[1].gates == c.gates + (Gate(0, 1, 2),)
@@ -122,8 +122,12 @@ def test_circuit_validation():
         Circuit(6, n_inputs=7)
     with pytest.raises(ValueError):
         Circuit(6, constant_fill=2)
+    with pytest.raises(TypeError):
+        Circuit(6, (), 6, 0)  # the fill is keyword-only, never a 4th positional
+    with pytest.raises(TypeError):
+        random_circuit(6, 1, np.random.default_rng(0), 6, 0)
     c = Circuit(6, n_inputs=6)
-    assert len(c) == 0 and c.m_outputs == 1
+    assert len(c) == 0
 
 
 def test_empty_circuit_is_identity():
@@ -310,5 +314,5 @@ def test_evaluate_batch_row_blocks_match_evaluate(wires):
         init = np.array(wire_patterns(wires, 6, fill), dtype=np.uint64)
         rows = evaluate_batch(codes, init).tolist()
         for s, circuit_gates in enumerate(circuits):
-            want = evaluate(Circuit(wires, circuit_gates, 6, 1, fill)).wire_rows
+            want = evaluate(Circuit(wires, circuit_gates, 6, constant_fill=fill)).wire_rows
             assert rows[s] == want, (fill, s)

@@ -14,7 +14,6 @@ from revcirc.fitness import (
     best_wire_fitness,
     hamming_fitness,
     hamming_fitness_scalar,
-    parity_of_reachable_fitness,
     Scorer,
     rms_error,
     six_multiplexor_target,
@@ -151,12 +150,6 @@ def test_fitness_checks_compatibility():
     for circuit in (Circuit(6, n_inputs=5), Circuit(7)):  # wrong input count
         with pytest.raises(ValueError, match="6 inputs"):
             best_wire_fitness(circuit, target)
-
-
-def test_parity_of_reachable_fitness():
-    assert parity_of_reachable_fitness(6) == "even-only"
-    assert parity_of_reachable_fitness(7) == "all"
-    assert parity_of_reachable_fitness(12) == "all"
 
 
 def test_no_spare_fitness_is_always_even():

@@ -30,3 +30,29 @@ def test_unused_imports_finds_dead_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+SUBMODULES = [m.removesuffix(".py") for m in MODULES if m != "cli.py"]
+
+
+def test_package_exports_the_union_of_submodule_lists():
+    """`revcirc.__all__` is the sorted union of the five submodules' lists
+    plus `__version__`; no name is listed twice, and every listed name
+    resolves on its module and is bound by `from revcirc import *`."""
+    import importlib
+
+    import revcirc
+
+    listed = {}
+    for name in SUBMODULES:
+        module = importlib.import_module(f"revcirc.{name}")
+        for public in module.__all__:
+            assert public not in listed, (public, listed.get(public), name)
+            listed[public] = name
+            assert hasattr(module, public), (name, public)
+    exported = set(revcirc.__all__)
+    assert sorted(exported ^ {*listed, "__version__"}) == []  # listed on one side only
+    assert revcirc.__all__ == sorted(exported)
+    namespace = {}
+    exec("from revcirc import *", namespace)
+    assert set(revcirc.__all__) <= namespace.keys()

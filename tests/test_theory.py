@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from revcirc.fitness import six_multiplexor_target
+from revcirc.fitness import TargetTable, six_multiplexor_target
 from revcirc.theory import (
     LimitModel,
     binomial_limit,
     gate_transition_matrix,
+    limit_for,
     normalized_limit,
     parity_shifted_limit,
     rms_limit,
@@ -98,6 +99,32 @@ def test_parity_shifted_limit_against_permutation_simulation():
     assert total_variation_distance(empirical, model.pmf) < 0.01
     assert fitness.mean() == pytest.approx(model.mean, abs=0.05)
     assert fitness.std() == pytest.approx(model.sd, abs=0.05)
+
+
+def test_limit_for_picks_the_law_by_spare_wires():
+    """No spare wire gives the parity-shifted law (even fitness only); one
+    or more give the binomial law; too few wires, or a 6-input target the
+    parity-shifted law does not cover, are refused."""
+    mux = six_multiplexor_target()
+    no_spare = limit_for(6, mux)
+    assert no_spare.kind == "parity-shifted-hamming"
+    assert not no_spare.pmf[1::2].any()
+    binomial = binomial_limit(6, 1)
+    for wires in (7, 12):
+        model = limit_for(wires, mux)
+        assert model.pmf.tobytes() == binomial.pmf.tobytes()
+        assert (model.kind, model.n, model.m, model.mean, model.sd, model.solution_probability) == (
+            binomial.kind, binomial.n, binomial.m, binomial.mean, binomial.sd,
+            binomial.solution_probability,
+        )
+    with pytest.raises(ValueError, match="at least 6 wires"):
+        limit_for(5, mux)
+    unbalanced = TargetTable.from_function(6, 1, lambda t: int(t & 3 == 3))
+    case0_wants_1 = TargetTable.from_function(6, 1, lambda t: 1 - (t & 1))
+    for target in (unbalanced, case0_wants_1):
+        assert limit_for(7, target).kind == "binomial-hamming"
+        with pytest.raises(ValueError, match="balanced truth tables"):
+            limit_for(6, target)
 
 
 def test_normalized_limit_values():
