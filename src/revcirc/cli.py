@@ -257,23 +257,29 @@ def _ga_log(run: int, record: RunRecord):
                "solved": record.solved and g == last}
 
 
+def _check_runs(runs: int | None) -> None:
+    if runs is not None and runs < 0:
+        raise ValueError(f"--runs must be >= 0, got {runs}")
+
+
 def _search_runs(args, target, seed, scoring, out_dir, log, **options):
     """`args.runs` runs of `args.command`, run r seeded by [seed, r].  Each
     run's `log` entries go to `runs.jsonl` under `out_dir` (else stdout)
-    as JSON lines.  Returns the records and the `solutions.txt` lines."""
-    records, solution_lines = [], []
+    as JSON lines, written once every run has succeeded.  Returns the
+    records and the `solutions.txt` lines."""
+    _check_runs(args.runs)
+    records, log_lines, solution_lines = [], [], []
+    for r in range(args.runs):
+        record = _search_run(
+            args.command, np.random.SeedSequence([seed, r]), args.wires,
+            args.gates, target, scoring, **options,
+        )
+        records.append(record)
+        log_lines += (json.dumps(entry, sort_keys=True) for entry in log(r, record))
+        solution_lines += _solution_lines(args.command, r, record, scoring)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    with _output(None if out_dir is None else out_dir / "runs.jsonl") as fh:
-        for r in range(args.runs):
-            record = _search_run(
-                args.command, np.random.SeedSequence([seed, r]), args.wires,
-                args.gates, target, scoring, **options,
-            )
-            records.append(record)
-            for entry in log(r, record):
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            solution_lines += _solution_lines(args.command, r, record, scoring)
+    _write_lines(None if out_dir is None else out_dir / "runs.jsonl", log_lines)
     return records, solution_lines
 
 
@@ -399,6 +405,7 @@ def run_recipe(
         raise ValueError(f"unknown recipe {recipe_id!r}; choose from {RECIPE_IDS}")
     if scale not in ("ci", "full"):
         raise ValueError(f"unknown scale {scale!r}; choose 'ci' or 'full'")
+    _check_runs(runs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n_samples = samples if samples is not None else (

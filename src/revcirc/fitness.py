@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
-from .core import Circuit, evaluate, evaluate_batch, output_row_batch, wire_patterns
+from .core import Circuit, evaluate, evaluate_batch, gate_arrays, output_row_batch, wire_patterns
 
 __all__ = [
     "TargetTable",
@@ -210,14 +210,29 @@ class Scorer:
             raw += cases - (rows[w] ^ t).bit_count()
         return raw, -1
 
-    def score_codes(self, gate_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(fitness, wire) arrays of B circuits given as (B, L) gate codes
-        (n <= 6); wire is -1 under a fixed map.
+    def score_gates(self, gates: Iterable[Sequence[int]]) -> tuple[int, int]:
+        """(fitness, wire) of one circuit given as (target, control,
+        control) triples, walked on Python-int rows."""
+        rows = list(self.wire_patterns)
+        for t, a, b in gates:
+            rows[t] ^= rows[a] & rows[b]
+        return self.score_rows(rows)
 
-        A fixed map on a bus of up to 6 wires pulls each output row back on
-        one word per circuit (`core.output_row_batch`); otherwise every wire
-        runs forward (`core.evaluate_batch`).
+    def score_codes(self, gate_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(fitness, wire) arrays of B circuits given as (B, L) gate codes;
+        wire is -1 under a fixed map.
+
+        Past 64 cases each circuit is walked by `score_gates`.  Otherwise a
+        fixed map on a bus of up to 6 wires pulls each output row back on
+        one word per circuit (`core.output_row_batch`), and anything else
+        runs every wire forward (`core.evaluate_batch`).
         """
+        if self._cases > 64:
+            triples = np.stack(gate_arrays(self.wires), axis=1).tolist()
+            scores = [self.score_gates(map(triples.__getitem__, codes))
+                      for codes in gate_codes.tolist()]
+            scores = np.array(scores, dtype=np.int64).reshape(-1, 2)
+            return scores[:, 0], scores[:, 1]
         if self.scoring == "best" or self.wires > 6:
             rows = evaluate_batch(gate_codes, self._init_rows)
             if self.scoring == "best":

@@ -123,7 +123,6 @@ def sample_fitness_histogram(
     target: TargetTable,
     outputs: OutputMap = DEFAULT_OUTPUT,
     constant_fill: int = 1,
-    chunk_size: int = CHUNK_SIZE,
     first_chunk: int = 0,
     stop_chunk: int | None = None,
     initial_counts: np.ndarray | None = None,
@@ -141,11 +140,11 @@ def sample_fitness_histogram(
     counts = np.zeros(target.max_fitness + 1, dtype=np.int64)
     if initial_counts is not None:
         counts += np.asarray(initial_counts, dtype=np.int64)
-    n_chunks = (samples + chunk_size - 1) // chunk_size
+    n_chunks = (samples + CHUNK_SIZE - 1) // CHUNK_SIZE
     last_chunk = n_chunks if stop_chunk is None else min(stop_chunk, n_chunks)
     added = 0
     for c in range(first_chunk, last_chunk):
-        batch = min(chunk_size, samples - c * chunk_size)
+        batch = min(CHUNK_SIZE, samples - c * CHUNK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence([seed, length, c]))
         gate_idx = rng.integers(0, n_gates, size=(batch, length), dtype=np.uint16)
         fit, _ = scorer.score_codes(gate_idx)
@@ -198,7 +197,7 @@ def sample_distribution(
             score = partial(
                 sample_fitness_histogram, config.wires, length,
                 config.samples_per_length, config.seed, config.target,
-                config.outputs, config.constant_fill, CHUNK_SIZE,
+                config.outputs, config.constant_fill,
             )
             while done < n_chunks:
                 stop = min(n_chunks, done + block)

@@ -6,8 +6,9 @@ rewrites.  One cached table (`_gene_tables`) gives each gene its gate code,
 its slots and its moves (one wire of one slot changed).  The hill climber
 and `mutate` draw one move at a time (`_mutate_genes`), the GA one per
 genome for the whole population (`_mutate_population`, the same move
-distribution), and `neighborhood_size` counts them.  Final rows are scored
-by `fitness.Scorer`, which the sampler and the fitness functions share.
+distribution), and `neighborhood_size` counts them.  Search scores only
+through `fitness.Scorer`, as the sampler does: the hill climber one genome
+by `score_gates`, the GA a population by `score_codes`, at any case count.
 
 The hill climber samples one mutant per step; by default it also accepts
 mutants of equal fitness (neutral drift).  Measured on the six-multiplexor
@@ -172,42 +173,10 @@ class RunRecord:
         return None
 
 
-class _FitnessEngine:
-    """Genome scoring for hill climbing and the GA by `fitness.Scorer`: a
-    population in one batch of gate codes when the cases fit one machine
-    word (n <= 6), else genome by genome on Python-int rows."""
-
-    def __init__(self, wires: int, n_inputs: int, constant_fill: int,
-                 target: TargetTable, scoring: WireScoring):
-        self.scorer = Scorer(wires, n_inputs, constant_fill, target, scoring)
-        self.wires = wires
-        self.constant_fill = constant_fill
-        self.tables = _gene_tables(wires)
-        self._slots = self.tables.slots.tolist()
-
-    def score_population(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fitness of every genome; genomes is a (pop, length) gene array.
-
-        Returns (fitness, best_wire) where best_wire is -1 under fixed
-        scoring.
-        """
-        if self.scorer.target.case_count > 64:
-            scores = [self.score_genome(genome) for genome in genomes]
-            return tuple(np.array(col, dtype=np.int64) for col in zip(*scores))
-        return self.scorer.score_codes(self.tables.code.take(genomes))
-
-    def score_genome(self, genome: Sequence[int]) -> tuple[int, int]:
-        rows = list(self.scorer.wire_patterns)
-        slots = self._slots
-        for gene in genome:
-            t, a, b = slots[gene]
-            rows[t] ^= rows[a] & rows[b]
-        return self.scorer.score_rows(rows)
-
-    def genome_to_circuit(self, genome: Sequence[int]) -> Circuit:
-        gates = [Gate(*self._slots[gene]) for gene in genome]
-        return Circuit(self.wires, gates, self.scorer.target.n_inputs,
-                       constant_fill=self.constant_fill)
+def _circuit(genes: Sequence[int], scorer: Scorer) -> Circuit:
+    """The circuit of a gene list on `scorer`'s bus."""
+    gates = [Gate(*s) for s in _gene_tables(scorer.wires).slots[np.asarray(genes)].tolist()]
+    return Circuit(scorer.wires, gates, scorer.target.n_inputs, constant_fill=scorer.constant_fill)
 
 
 def hill_climb(
@@ -230,23 +199,24 @@ def hill_climb(
         raise ValueError("budget must be >= 1")
     if target is None:
         target = six_multiplexor_target()
-    engine = _FitnessEngine(
-        start.wires, start.n_inputs, start.constant_fill, target, scoring
-    )
+    scorer = Scorer(start.wires, start.n_inputs, start.constant_fill, target, scoring)
+    slots = _gene_tables(start.wires).slots.tolist()
     genome = _genes(start)
     if len(genome) == 0:
         raise ValueError("hill climbing needs at least one gate")
-    fit, wire = engine.score_genome(genome)
+    gates = [slots[gene] for gene in genome]  # the walk reads triples; a step rewrites one
+    fit, wire = scorer.score_gates(gates)
     evaluations = 1
     trajectory = [fit]
     first_hit = {fit: 1}
     while evaluations < budget and fit < target.max_fitness:
-        mutant = genome.copy()
-        _mutate_genes(mutant, start.wires, rng)
-        cand_fit, cand_wire = engine.score_genome(mutant)
+        mutant, cand_gates = genome.copy(), gates.copy()
+        gi = _mutate_genes(mutant, start.wires, rng)
+        cand_gates[gi] = slots[mutant[gi]]
+        cand_fit, cand_wire = scorer.score_gates(cand_gates)
         evaluations += 1
         if cand_fit > fit or (accept_equal and cand_fit == fit):
-            genome, fit, wire = mutant, cand_fit, cand_wire
+            genome, gates, fit, wire = mutant, cand_gates, cand_fit, cand_wire
             if fit not in first_hit:
                 first_hit[fit] = evaluations
         trajectory.append(fit)
@@ -255,7 +225,7 @@ def hill_climb(
         best_fitness_per_generation=trajectory,
         solved=solved,
         evaluations=evaluations,
-        solution=engine.genome_to_circuit(genome) if solved else None,
+        solution=_circuit(genome, scorer) if solved else None,
         solution_output_wire=(wire if solved and wire >= 0 else None),
         first_hit_evaluations=first_hit,
     )
@@ -293,14 +263,14 @@ def evolve(config: GAConfig) -> RunRecord:
     """
     rng = np.random.default_rng(config.seed)
     w = config.wires
-    engine = _FitnessEngine(
-        w, config.target.n_inputs, config.constant_fill, config.target, config.scoring
-    )
+    scorer = Scorer(w, config.target.n_inputs, config.constant_fill, config.target,
+                    config.scoring)
+    codes = _gene_tables(w).code
     tg, ca, cb = gate_arrays(w)
     gate_genes = (tg * w + ca) * w + cb
     pop, length = config.population, config.length
     genomes = gate_genes[rng.integers(0, len(gate_genes), size=(pop, length))]
-    fits, wires_out = engine.score_population(genomes)
+    fits, wires_out = scorer.score_codes(codes.take(genomes))
     best_per_gen = [int(fits.max())]
     mean_per_gen = [float(fits.mean())]
     evaluations = pop
@@ -311,7 +281,7 @@ def evolve(config: GAConfig) -> RunRecord:
         winners = entries[np.arange(pop), np.argmax(keys, axis=1)]
         genomes = genomes[winners]
         _mutate_population(genomes, w, rng)
-        fits, wires_out = engine.score_population(genomes)
+        fits, wires_out = scorer.score_codes(codes.take(genomes))
         evaluations += pop
         best_per_gen.append(int(fits.max()))
         mean_per_gen.append(float(fits.mean()))
@@ -320,7 +290,7 @@ def evolve(config: GAConfig) -> RunRecord:
     solution = solution_wire = None
     if solved:
         idx = int(np.argmax(fits))
-        solution = engine.genome_to_circuit(genomes[idx])
+        solution = _circuit(genomes[idx], scorer)
         w = int(wires_out[idx])
         solution_wire = w if w >= 0 else None
     return RunRecord(

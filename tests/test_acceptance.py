@@ -4,9 +4,9 @@ Every stochastic criterion runs at desk scale (10^6 samples, 10-20 search
 runs) with seeds frozen here; the asserted bands were fixed before the
 seeds were chosen.  Criteria that the gate-set mathematics makes
 unattainable are asserted at face value and fail honestly — the failure
-messages state the measured value and the reason.  Runs in about 45
+messages state the measured value and the reason.  Runs in about 30
 seconds on the numpy engine (2-core x86-64, numpy 2.4); the whole tier-1
-suite takes about 70.
+suite takes about 45.
 """
 
 import math

@@ -582,6 +582,32 @@ def test_table1_without_runs_writes_empty_logs(tmp_path):
     assert (tmp_path / "table1_solutions.txt").read_bytes() == b""
 
 
+@pytest.mark.parametrize("command", [
+    ["hillclimb", "--wires", "6", "--gates", "5", "--budget", "0"],
+    ["hillclimb", "--wires", "6", "--gates", "0"],
+    ["hillclimb", "--wires", "6", "--gates", "5", "--runs", "-1"],
+    ["ga", "--wires", "6", "--gates", "5", "--pop", "0"],
+    ["ga", "--wires", "5", "--gates", "5", "--pop", "10", "--gens", "1"],
+    ["ga", "--wires", "6", "--gates", "5", "--runs", "-1"],
+    ["recipe", "table1", "--runs", "-1"],
+], ids=["hc-budget0", "hc-gates0", "hc-runs-1", "ga-pop0", "ga-narrow-bus", "ga-runs-1",
+        "table1-runs-1"])
+def test_refused_search_writes_nothing(tmp_path, capsys, command):
+    out_dir = tmp_path / "d"
+    assert main(command + ["--out", str(out_dir)]) == 1
+    assert "revcirc: error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["hillclimb", "ga"])
+def test_search_without_runs_writes_empty_logs(tmp_path, command):
+    out_dir = tmp_path / "d"
+    assert main([command, "--wires", "6", "--gates", "5", "--runs", "0",
+                 "--out", str(out_dir)]) == 0
+    assert (out_dir / "runs.jsonl").read_bytes() == b""
+    assert (out_dir / "solutions.txt").read_bytes() == b""
+
+
 def test_table1_artifacts_are_pinned(tmp_path):
     manifest = run_recipe("table1", seed=5, out_dir=tmp_path, runs=2, generations=300)
     digests = {name: _sha((tmp_path / name).read_bytes()) for name in manifest["artifacts"]}

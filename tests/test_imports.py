@@ -56,3 +56,29 @@ def test_package_exports_the_union_of_submodule_lists():
     namespace = {}
     exec("from revcirc import *", namespace)
     assert set(revcirc.__all__) <= namespace.keys()
+
+
+def identifiers(source: str) -> set[str]:
+    """Every name a module binds, reads or looks up as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize("name,owners", [
+    ("evaluate_batch", {"core.py", "fitness.py"}),
+    ("output_row_batch", {"core.py", "fitness.py"}),
+    ("bitwise_count", {"fitness.py"}),
+])
+def test_batch_kernels_are_reached_only_through_the_scorer(name, owners):
+    """The batch kernels live in `core` and only `fitness.Scorer` calls
+    them or counts bits, so the choice of kernel is made in one place."""
+    users = {p.name for p in PACKAGE.glob("*.py")
+             if name in identifiers(p.read_text(encoding="utf-8"))}
+    assert users == owners

@@ -103,11 +103,12 @@ MUX_AND_PARITY = TargetTable.from_function(
     pytest.param(5, 9, OutputMap((4,)), 1, FOUR_INPUT, id="5w-4in-fill-wire-fill1"),
     pytest.param(6, 9, OutputMap((2, 5)), 1, MUX_AND_PARITY, id="6w-two-outputs"),
 ])
-def test_engine_matches_scalar_oracle(wires, length, outputs, fill, target):
+def test_engine_matches_scalar_oracle(monkeypatch, wires, length, outputs, fill, target):
     """Rebuild every circuit of two small chunks from the chunks' own draws
     and score it case by case; the engine's histogram must be identical."""
     gates = enumerate_gates(wires)
     samples, chunk = 160, 100
+    monkeypatch.setattr(sampling, "CHUNK_SIZE", chunk)
     expected = np.zeros(target.max_fitness + 1, dtype=np.int64)
     for c in range(2):
         rng = np.random.default_rng(np.random.SeedSequence([5, length, c]))
@@ -119,7 +120,7 @@ def test_engine_matches_scalar_oracle(wires, length, outputs, fill, target):
             expected[hamming_fitness_scalar(circuit, target, outputs).raw] += 1
     hist = sample_fitness_histogram(
         wires, length, samples, seed=5, target=target, outputs=outputs,
-        constant_fill=fill, chunk_size=chunk,
+        constant_fill=fill,
     )
     assert np.array_equal(hist.counts, expected)
 

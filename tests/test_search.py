@@ -10,6 +10,7 @@ from scipy.stats import chi2_contingency
 from revcirc.core import Circuit, Gate, enumerate_gates, random_circuit
 from revcirc.fitness import (
     OutputMap,
+    Scorer,
     TargetTable,
     best_wire_fitness,
     hamming_fitness,
@@ -19,7 +20,7 @@ from revcirc.fitness import (
 from revcirc.search import (
     GAConfig,
     RunRecord,
-    _FitnessEngine,
+    _circuit,
     _gene_tables,
     _genes,
     _mutate_genes,
@@ -303,10 +304,9 @@ def test_best_wire_scoring_reports_the_lowest_tied_wire():
     ]
     tied = [w for w, f in enumerate(fits) if f == max(fits)]
     assert len(tied) >= 2
-    engine = _FitnessEngine(7, 6, 1, TARGET, "best")
-    genome = _genes(circuit)
-    assert engine.score_genome(genome) == (max(fits), tied[0])
-    best, wire = engine.score_population(np.array([genome]))
+    scorer = Scorer(7, 6, 1, TARGET, "best")
+    assert scorer.score_gates(map(gate_slots, circuit.gates)) == (max(fits), tied[0])
+    best, wire = scorer.score_codes(_gene_tables(7).code.take([_genes(circuit)]))
     assert (int(best[0]), int(wire[0])) == (max(fits), tied[0])
 
 
@@ -332,22 +332,22 @@ POPULATION_SCORING = [
 
 @pytest.mark.parametrize("wires,target,fill,scoring", POPULATION_SCORING)
 def test_score_population_matches_the_fitness_functions(wires, target, fill, scoring):
-    """A random population of genes (controls in either order) scores, gene
-    array by gene array, what `hamming_fitness` or `best_wire_fitness` give
-    its circuits."""
-    engine = _FitnessEngine(wires, target.n_inputs, fill, target, scoring)
+    """A random population of genes (controls in either order) scores, by
+    `Scorer.score_codes` on its gate codes, what `hamming_fitness` or
+    `best_wire_fitness` and `Scorer.score_gates` give its circuits."""
+    scorer = Scorer(wires, target.n_inputs, fill, target, scoring)
     rng = np.random.default_rng(wires + fill)
     legal = np.flatnonzero(_gene_tables(wires).code >= 0)
     genomes = rng.choice(legal, size=(60, 9))
-    fits, best_wires = engine.score_population(genomes)
+    fits, best_wires = scorer.score_codes(_gene_tables(wires).code.take(genomes))
     for genome, fit, wire in zip(genomes, fits, best_wires):
-        circuit = engine.genome_to_circuit(genome)
+        circuit = _circuit(genome, scorer)
         if scoring == "best":
             best, best_wire = best_wire_fitness(circuit, target)
             assert (fit, wire) == (best.raw, best_wire)
         else:
             assert (fit, wire) == (hamming_fitness(circuit, target, scoring).raw, -1)
-        assert (fit, wire) == engine.score_genome(genome)
+        assert (fit, wire) == scorer.score_gates(map(gate_slots, circuit.gates))
 
 
 # 7 inputs, 128 cases: rows no longer fit a machine word.
@@ -356,26 +356,31 @@ WIDE_TARGET = TargetTable.from_function(7, 1, lambda t: ((t >> 6) ^ (t >> (t >> 
 
 @pytest.mark.parametrize("scoring", [OutputMap((7,)), "best"], ids=["wire7", "best"])
 def test_wide_target_search_scores_like_the_fitness_functions(monkeypatch, scoring):
-    """Past 64 cases the engine scores genome by genome on Python-int rows.
-    Every genome `evolve` and `hill_climb` score must get the fitness (and
-    wire) that `hamming_fitness` and `best_wire_fitness` give its circuit."""
+    """Past 64 cases `Scorer.score_codes` walks each circuit through
+    `Scorer.score_gates`, which the hill climber calls directly.  Every
+    genome `evolve` and `hill_climb` score must get the fitness (and wire)
+    that `hamming_fitness` and `best_wire_fitness` give its circuit."""
     scored = []
-    score_genome = _FitnessEngine.score_genome
-    score_population = _FitnessEngine.score_population
+    score_gates = Scorer.score_gates
 
-    def recording_score_genome(self, genome):
-        result = score_genome(self, genome)
-        scored.append((self.genome_to_circuit(genome), result))
+    def recording_score_gates(self, gates):
+        gates = list(gates)
+        result = score_gates(self, gates)
+        circuit = Circuit(self.wires, [Gate(*g) for g in gates], self.target.n_inputs,
+                          constant_fill=self.constant_fill)
+        scored.append((circuit, result))
         return result
 
-    def checked_score_population(self, genomes):
-        fits, wires = score_population(self, genomes)
-        for genome, fit, wire in zip(genomes, fits, wires):
-            assert (int(fit), int(wire)) == score_genome(self, genome)
+    score_codes = Scorer.score_codes
+
+    def checked_score_codes(self, gate_codes):
+        first = len(scored)
+        fits, wires = score_codes(self, gate_codes)
+        assert list(zip(fits.tolist(), wires.tolist())) == [r for _, r in scored[first:]]
         return fits, wires
 
-    monkeypatch.setattr(_FitnessEngine, "score_genome", recording_score_genome)
-    monkeypatch.setattr(_FitnessEngine, "score_population", checked_score_population)
+    monkeypatch.setattr(Scorer, "score_gates", recording_score_gates)
+    monkeypatch.setattr(Scorer, "score_codes", checked_score_codes)
     ga = evolve(GAConfig(wires=8, length=10, target=WIDE_TARGET, seed=3, population=20,
                          generations=4, scoring=scoring))
     rng = np.random.default_rng(51)
