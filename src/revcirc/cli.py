@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -111,9 +112,11 @@ def _load_target(path: str | None) -> TargetTable:
 
 
 def _output(path: str | Path | None):
-    """A text stream to `path`, or to stdout when None."""
+    """A text stream to `path`, its directory made first, or to stdout when
+    None.  The one place a command creates a file or a directory."""
     if path is None:
         return contextlib.nullcontext(sys.stdout)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     return open(path, "w", newline="", encoding="utf-8")
 
 
@@ -197,12 +200,11 @@ def _cmd_minscan(args) -> int:
 def _search_run(
     method: str, seed_sequence: np.random.SeedSequence, wires: int, gates: int,
     target: TargetTable, scoring, *, budget: int = HILL_CLIMB_BUDGET,
-    accept_equal: bool = True, population: int = 500, tournament: int = 7,
-    generations: int = 500,
+    accept_equal: bool = True, ga: GAConfig | None = None,
 ) -> RunRecord:
-    """One seeded hill-climber or GA run.  A claimed solution is re-checked
-    case by case, independent of the bit-parallel scorer; a wrong claim
-    raises."""
+    """One seeded hill-climber run, or GA run of `ga` with its seed drawn
+    from `seed_sequence`.  A claimed solution is re-checked case by case,
+    independent of the bit-parallel scorer; a wrong claim raises."""
     if method == "hillclimb":
         rng = np.random.default_rng(seed_sequence)
         start = random_circuit(wires, gates, rng, n_inputs=target.n_inputs)
@@ -210,11 +212,7 @@ def _search_run(
             start, budget, rng, target=target, scoring=scoring, accept_equal=accept_equal
         )
     else:
-        record = evolve(GAConfig(
-            wires=wires, length=gates, target=target,
-            seed=int(seed_sequence.generate_state(1)[0]), population=population,
-            tournament=tournament, generations=generations, scoring=scoring,
-        ))
+        record = evolve(dataclasses.replace(ga, seed=int(seed_sequence.generate_state(1)[0])))
     if record.solved:
         check = hamming_fitness_scalar(record.solution, target, _solution_outputs(record, scoring))
         if not check.solved:
@@ -277,8 +275,6 @@ def _search_runs(args, target, seed, scoring, out_dir, log, **options):
         records.append(record)
         log_lines += (json.dumps(entry, sort_keys=True) for entry in log(r, record))
         solution_lines += _solution_lines(args.command, r, record, scoring)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
     _write_lines(None if out_dir is None else out_dir / "runs.jsonl", log_lines)
     return records, solution_lines
 
@@ -341,11 +337,11 @@ def _cmd_ga(args) -> int:
     target = _load_target(args.target)
     seed = _resolve_seed(args.seed)
     scoring = _parse_output_wire(args.output_wire)
+    ga = GAConfig(wires=args.wires, length=args.gates, target=target, seed=seed,
+                  population=args.pop, tournament=args.tournament, generations=args.gens,
+                  scoring=scoring)  # each run replaces the seed
     out_dir = None if args.out is None else Path(args.out)
-    records, solution_lines = _search_runs(
-        args, target, seed, scoring, out_dir, _ga_log,
-        population=args.pop, tournament=args.tournament, generations=args.gens,
-    )
+    records, solution_lines = _search_runs(args, target, seed, scoring, out_dir, _ga_log, ga=ga)
     solved = sum(r.solved for r in records)
     summary = {
         "runs": args.runs,
@@ -354,7 +350,7 @@ def _cmd_ga(args) -> int:
         "effort": koza_effort(records, args.pop) if solved else None,
     }
     if out_dir is not None:
-        (out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        _write_lines(out_dir / "summary.json", [json.dumps(summary, sort_keys=True, indent=2)])
     effort = f"; effort {summary['effort']}" if solved else ""
     _finish_search(f"ga: {solved}/{args.runs} solved{effort}", solution_lines, out_dir)
     return 0
@@ -407,7 +403,6 @@ def run_recipe(
         raise ValueError(f"unknown scale {scale!r}; choose 'ci' or 'full'")
     _check_runs(runs)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n_samples = samples if samples is not None else (
         CI_SAMPLES if scale == "ci" else FULL_SAMPLES
     )
@@ -432,9 +427,7 @@ def run_recipe(
         manifest["runs"] = runs
     if generations is not None:
         manifest["generations"] = generations
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    _write_lines(out_dir / "manifest.json", [json.dumps(manifest, sort_keys=True, indent=2)])
     return manifest
 
 
@@ -474,6 +467,10 @@ def _recipe_table1(seed, runs, generations, out_dir):
     target = six_multiplexor_target()
     configs = ((6, 5), (12, 20))
     scorings = (("wire0", DEFAULT_OUTPUT), ("best", "best"))
+    # every GA configuration is built, and so checked, before the first climb
+    ga = {(wires, gates, scoring): GAConfig(wires=wires, length=gates, target=target, seed=seed,
+                                            generations=gens, scoring=scoring)
+          for wires, gates in configs for _, scoring in scorings}
     success_rows, run_lines, solution_lines = [], [], []
     for (method_idx, method), (cfg_idx, (wires, gates)), (score_idx, (score_name, scoring)) in (
         itertools.product(enumerate(("hillclimb", "ga")), enumerate(configs), enumerate(scorings))
@@ -481,9 +478,8 @@ def _recipe_table1(seed, runs, generations, out_dir):
         solved = 0
         for r in range(n_runs):
             seed_sequence = np.random.SeedSequence([seed, method_idx, cfg_idx, score_idx, r])
-            rec = _search_run(
-                method, seed_sequence, wires, gates, target, scoring, generations=gens
-            )
+            rec = _search_run(method, seed_sequence, wires, gates, target, scoring,
+                              ga=ga[wires, gates, scoring])
             solved += rec.solved
             run_lines.append(json.dumps({
                 "method": method, "wires": wires, "gates": gates, "scoring": score_name,

@@ -234,7 +234,7 @@ def hill_climb(
 @dataclass(frozen=True)
 class GAConfig:
     """Generational GA parameters: non-elitist, tournament selection with
-    replacement, every child mutated exactly once."""
+    replacement, every child mutated exactly once; spare wires hold 1."""
 
     wires: int
     length: int
@@ -244,7 +244,6 @@ class GAConfig:
     tournament: int = 7
     generations: int = 500
     scoring: WireScoring = DEFAULT_OUTPUT
-    constant_fill: int = 1
 
     def __post_init__(self):
         if self.population < 1 or self.tournament < 1 or self.generations < 0:
@@ -263,8 +262,7 @@ def evolve(config: GAConfig) -> RunRecord:
     """
     rng = np.random.default_rng(config.seed)
     w = config.wires
-    scorer = Scorer(w, config.target.n_inputs, config.constant_fill, config.target,
-                    config.scoring)
+    scorer = Scorer(w, config.target.n_inputs, 1, config.target, config.scoring)
     codes = _gene_tables(w).code
     tg, ca, cb = gate_arrays(w)
     gate_genes = (tg * w + ca) * w + cb

@@ -590,13 +590,27 @@ def test_table1_without_runs_writes_empty_logs(tmp_path):
     ["ga", "--wires", "5", "--gates", "5", "--pop", "10", "--gens", "1"],
     ["ga", "--wires", "6", "--gates", "5", "--runs", "-1"],
     ["recipe", "table1", "--runs", "-1"],
+    ["recipe", "fig4", "--samples", "0"],
+    ["recipe", "fig7", "--workers", "0"],
+    ["recipe", "table1", "--gens", "-1", "--runs", "1"],
 ], ids=["hc-budget0", "hc-gates0", "hc-runs-1", "ga-pop0", "ga-narrow-bus", "ga-runs-1",
-        "table1-runs-1"])
+        "table1-runs-1", "fig4-samples0", "fig7-workers0", "table1-gens-1"])
 def test_refused_search_writes_nothing(tmp_path, capsys, command):
     out_dir = tmp_path / "d"
     assert main(command + ["--out", str(out_dir)]) == 1
     assert "revcirc: error:" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_table1_checks_ga_parameters_before_any_climb(tmp_path, monkeypatch):
+    """A GA setting the recipe would refuse only after its hill-climber
+    campaigns is refused before the first climb."""
+    def no_climb(*args, **kwargs):
+        raise AssertionError("hill_climb ran for a refused request")
+
+    monkeypatch.setattr("revcirc.cli.hill_climb", no_climb)
+    with pytest.raises(ValueError, match="generations >= 0"):
+        run_recipe("table1", seed=0, out_dir=tmp_path / "d", runs=1, generations=-1)
 
 
 @pytest.mark.parametrize("command", ["hillclimb", "ga"])

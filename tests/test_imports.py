@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: unused imports, the public names, and which module may
+call the batch kernels or write files."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,36 @@ def test_batch_kernels_are_reached_only_through_the_scorer(name, owners):
     users = {p.name for p in PACKAGE.glob("*.py")
              if name in identifiers(p.read_text(encoding="utf-8"))}
     assert users == owners
+
+
+WRITERS = {"open", "mkdir", "write_text", "write_bytes"}
+
+
+def writes_outside(source: str, owner: str) -> list[str]:
+    """Calls of a `WRITERS` name, as a function or a method, made anywhere
+    but inside the function `owner`."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in ast.walk(tree)
+              if isinstance(top, ast.FunctionDef) and top.name == owner
+              for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in WRITERS:
+                found.append(name)
+    return sorted(found)
+
+
+def test_writes_outside_finds_stray_writers():
+    source = ("def _output(p):\n    p.parent.mkdir()\n    return open(p, 'w')\n"
+              "def save(p):\n    p.parent.mkdir()\n    p.write_bytes(b'')\n"
+              "open('log', 'w').write('x')\n")
+    assert writes_outside(source, "_output") == ["mkdir", "open", "write_bytes"]
+
+
+def test_cli_opens_files_only_through_its_output_stream():
+    """`cli._output` is the one place a command creates a file or a
+    directory, so a refused request cannot leave one behind."""
+    assert writes_outside((PACKAGE / "cli.py").read_text(encoding="utf-8"), "_output") == []

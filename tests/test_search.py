@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from revcirc.core import Circuit, Gate, enumerate_gates, random_circuit
+from revcirc.core import Circuit, Gate, enumerate_gates, evaluate, random_circuit
 from revcirc.fitness import (
     OutputMap,
     Scorer,
@@ -327,6 +327,7 @@ POPULATION_SCORING = [
     (7, TARGET, 1, "best"),
     (12, TARGET, 1, OutputMap((2,))),
     (12, TARGET, 1, "best"),
+    (7, THREE_INPUT_PAIR, 1, OutputMap((6, 2))),  # forward, two outputs out of wire order
 ]
 
 
@@ -334,14 +335,21 @@ POPULATION_SCORING = [
 def test_score_population_matches_the_fitness_functions(wires, target, fill, scoring):
     """A random population of genes (controls in either order) scores, by
     `Scorer.score_codes` on its gate codes, what `hamming_fitness` or
-    `best_wire_fitness` and `Scorer.score_gates` give its circuits."""
+    `best_wire_fitness` and `Scorer.score_gates` give its circuits, and
+    `Scorer.final_rows` gives the rows `evaluate` leaves on the wires read:
+    every wire under "best", else the mapped wires in map order."""
     scorer = Scorer(wires, target.n_inputs, fill, target, scoring)
     rng = np.random.default_rng(wires + fill)
     legal = np.flatnonzero(_gene_tables(wires).code >= 0)
     genomes = rng.choice(legal, size=(60, 9))
-    fits, best_wires = scorer.score_codes(_gene_tables(wires).code.take(genomes))
-    for genome, fit, wire in zip(genomes, fits, best_wires):
+    codes = _gene_tables(wires).code.take(genomes)
+    fits, best_wires = scorer.score_codes(codes)
+    rows = scorer.final_rows(codes)
+    read = range(wires) if scoring == "best" else scoring.wire_of_output
+    assert rows.dtype == np.uint64 and rows.shape == (len(genomes), len(read))
+    for genome, fit, wire, row in zip(genomes, fits, best_wires, rows):
         circuit = _circuit(genome, scorer)
+        assert row.tolist() == [evaluate(circuit).wire_rows[w] for w in read]
         if scoring == "best":
             best, best_wire = best_wire_fitness(circuit, target)
             assert (fit, wire) == (best.raw, best_wire)
@@ -359,7 +367,10 @@ def test_wide_target_search_scores_like_the_fitness_functions(monkeypatch, scori
     """Past 64 cases `Scorer.score_codes` walks each circuit through
     `Scorer.score_gates`, which the hill climber calls directly.  Every
     genome `evolve` and `hill_climb` score must get the fitness (and wire)
-    that `hamming_fitness` and `best_wire_fitness` give its circuit."""
+    that `hamming_fitness` and `best_wire_fitness` give its circuit.
+    `Scorer.final_rows`, one word per row, refuses such a target."""
+    with pytest.raises(ValueError, match="up to 64 cases"):
+        Scorer(8, 7, 1, WIDE_TARGET, scoring).final_rows(np.zeros((1, 1), dtype=np.intp))
     scored = []
     score_gates = Scorer.score_gates
 
