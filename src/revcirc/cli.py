@@ -69,6 +69,7 @@ RECIPE_IDS = (*_SAMPLING_RECIPES, "table1", "table3")
 CI_SAMPLES = 10**6
 FULL_SAMPLES = 10**8
 HILL_CLIMB_BUDGET = 5000
+SEARCH_RUNS = 10
 
 
 # ---------------------------------------------------------------- helpers
@@ -142,7 +143,7 @@ def _sampling_rows(kind: str, config: ExperimentConfig, checkpoint=None, keep_ze
     limit's) and density (solution rates with Poisson intervals)."""
     if kind == "density":
         return ["length", "count", "rate", "ci_lo", "ci_hi"], solution_density(config)
-    limit = None if kind == "hist" else limit_for(config.wires, config.target)
+    limit = None if kind == "hist" else limit_for(config.wires, config.target, config.constant_fill)
     hists = sample_distribution(config, checkpoint_path=checkpoint)
     if kind == "hist":
         return ["length", "fitness", "count"], [
@@ -462,8 +463,8 @@ def _sampling_recipe(recipe_id, seed, samples, workers, out_dir):
 
 
 def _recipe_table1(seed, runs, generations, out_dir):
-    n_runs = runs if runs is not None else 10
-    gens = generations if generations is not None else 500
+    n_runs = runs if runs is not None else SEARCH_RUNS
+    gens = generations if generations is not None else GAConfig.generations
     target = six_multiplexor_target()
     configs = ((6, 5), (12, 20))
     scorings = (("wire0", DEFAULT_OUTPUT), ("best", "best"))
@@ -500,22 +501,19 @@ def _recipe_table1(seed, runs, generations, out_dir):
         "configs": [list(c) for c in configs],
         "runs": n_runs,
         "hill_climb_budget": HILL_CLIMB_BUDGET,
-        "ga": {"population": 500, "tournament": 7, "generations": gens},
+        "ga": {k: getattr(ga[6, 5, "best"], k) for k in ("population", "tournament", "generations")},
     }
     return params, [success_path, runs_path, solutions_path]
 
 
 def _recipe_table3(out_dir):
     n, m_bits = 6, 6
-    raw_mean, raw_sd = (1 << n) / 2, math.sqrt(1 << n) / 2
-    norm_mean, norm_sd = normalized_limit(n, 1)
-    small_mean, small_sd = rms_limit(m_bits, "small-T")
-    exh_mean, exh_sd = rms_limit(m_bits, "exhaustive-uniform")
+    raw = binomial_limit(n)
     rows = [
-        ("hamming-raw", n, 1, raw_mean, raw_sd),
-        ("hamming-normalized", n, 1, norm_mean, norm_sd),
-        ("rms-small-T", "", m_bits, small_mean, small_sd),
-        ("rms-exhaustive-uniform", "", m_bits, exh_mean, exh_sd),
+        ("hamming-raw", n, 1, raw.mean, raw.sd),
+        ("hamming-normalized", n, 1, *normalized_limit(n, 1)),
+        ("rms-small-T", "", m_bits, *rms_limit(m_bits, "small-T")),
+        ("rms-exhaustive-uniform", "", m_bits, *rms_limit(m_bits, "exhaustive-uniform")),
     ]
     path = out_dir / "table3_theory.csv"
     _write_csv(path, ["quantity", "n", "m", "mean", "sd"], rows)
@@ -556,7 +554,7 @@ def _add_bus_flags(p):
 def _add_search_flags(p):
     p.add_argument("--wires", type=int, required=True, help="bus width")
     p.add_argument("--gates", type=int, required=True, help="circuit length")
-    p.add_argument("--runs", type=int, default=10, help="independent runs")
+    p.add_argument("--runs", type=int, default=SEARCH_RUNS, help="independent runs")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: REVCIRC_SEED or 0)")
     p.add_argument("--out", default=None, help="output directory (default: log to stdout)")
     p.add_argument("--target", default=None, help="target truth-table file (default: six-multiplexor)")
@@ -605,9 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ga", help="generational GA runs")
     _add_search_flags(p)
-    p.add_argument("--pop", type=int, default=500, help="population size")
-    p.add_argument("--tournament", type=int, default=7, help="tournament size")
-    p.add_argument("--gens", type=int, default=500, help="generation cap")
+    p.add_argument("--pop", type=int, default=GAConfig.population, help="population size")
+    p.add_argument("--tournament", type=int, default=GAConfig.tournament, help="tournament size")
+    p.add_argument("--gens", type=int, default=GAConfig.generations, help="generation cap")
     p.set_defaults(func=_cmd_ga)
 
     p = sub.add_parser("target", help="print the six-multiplexor truth table")

@@ -24,11 +24,10 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .core import gate_arrays
 from .fitness import DEFAULT_OUTPUT, OutputMap, Scorer, TargetTable
-from .theory import LimitModel, total_variation_distance
+from .theory import LimitModel, poisson_interval, total_variation_distance
 
 __all__ = [
     "ExperimentConfig",
@@ -38,7 +37,6 @@ __all__ = [
     "sample_fitness_histogram",
     "convergence_series",
     "solution_density",
-    "poisson_interval",
     "exhaustive_min_scan",
 ]
 
@@ -178,6 +176,7 @@ def sample_distribution(
     store = {}
     if checkpoint_path is not None:
         checkpoint_path = Path(checkpoint_path)
+        checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
         if checkpoint_path.exists():
             store = json.loads(checkpoint_path.read_text())
     n_chunks = (config.samples_per_length + CHUNK_SIZE - 1) // CHUNK_SIZE
@@ -245,15 +244,6 @@ def convergence_series(
         tvd = total_variation_distance(h.distribution(), limit.pmf)
         rows.append((h.length, h.mean(), h.sd(), tvd, h.solutions(), h.total))
     return ConvergenceSeries(rows)
-
-
-def poisson_interval(count: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Exact (Garwood) confidence interval for a Poisson count:
-    chi2.ppf(q, 2c) / 2 is gammaincinv(c, q), the same float."""
-    alpha = 1 - confidence
-    lo = 0.0 if count == 0 else gammaincinv(count, alpha / 2)
-    hi = gammaincinv(count + 1, 1 - alpha / 2)
-    return lo, hi
 
 
 def solution_density(

@@ -209,7 +209,8 @@ def hill_climb(
     evaluations = 1
     trajectory = [fit]
     first_hit = {fit: 1}
-    while evaluations < budget and fit < target.max_fitness:
+    max_fit = target.max_fitness
+    while evaluations < budget and fit < max_fit:
         mutant, cand_gates = genome.copy(), gates.copy()
         gi = _mutate_genes(mutant, start.wires, rng)
         cand_gates[gi] = slots[mutant[gi]]
@@ -220,7 +221,7 @@ def hill_climb(
             if fit not in first_hit:
                 first_hit[fit] = evaluations
         trajectory.append(fit)
-    solved = fit == target.max_fitness
+    solved = fit == max_fit
     return RunRecord(
         best_fitness_per_generation=trajectory,
         solved=solved,

@@ -15,18 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The private scipy.special ufuncs behind scipy's binom and hypergeom
-# distributions: they give pmfs and moments bit-identical to that
-# subpackage's (the pinned CSVs and digests were recorded with it) without
-# importing it, which costs about 1 s of every cold start.  Being private,
-# they are checked only on the scipy floor in pyproject.toml (1.17).
-from scipy.special._ufuncs import (
-    _binom_pmf,
-    _hypergeom_mean,
-    _hypergeom_pmf,
-    _hypergeom_variance,
-)
-
 from .core import Circuit, enumerate_gates, to_permutation
 from .fitness import TargetTable
 
@@ -36,6 +24,7 @@ __all__ = [
     "binomial_limit",
     "parity_shifted_limit",
     "limit_for",
+    "poisson_interval",
     "normalized_limit",
     "rms_limit",
     "gate_transition_matrix",
@@ -45,6 +34,17 @@ __all__ = [
 # Materializing a binomial pmf beyond this many outcomes is pointless for
 # plotting and risks large allocations.
 PMF_SIZE_GUARD = 1 << 20
+
+
+def _special():
+    """scipy.special's ufuncs, imported on first use: only the laws and the
+    interval here load scipy.  The private ufuncs behind scipy.stats' binom
+    and hypergeom give pmfs and moments bit-identical to that subpackage's
+    (the pins were recorded with it) without its ~1 s import; being private,
+    they are checked only on the scipy floor in pyproject.toml (1.17)."""
+    from scipy.special import _ufuncs
+
+    return _ufuncs
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def binomial_limit(n: int, m: int = 1) -> LimitModel:
     sol = math.exp(-M * math.log(2)) if M * math.log(2) < 745 else 0.0
     pmf = None
     if M + 1 <= PMF_SIZE_GUARD:
-        pmf = _binom_pmf(np.arange(M + 1), M, 0.5)
+        pmf = _special()._binom_pmf(np.arange(M + 1), M, 0.5)
     return LimitModel("binomial-hamming", n, m, mean, sd, sol, pmf)
 
 
@@ -103,25 +103,27 @@ def parity_shifted_limit() -> LimitModel:
     1.1e-18 — far above the binomial 2^-64 but still negligible.
     """
     k = np.arange(1, 33)  # the ufunc gives nan off the support, at k = 0
-    pk = _hypergeom_pmf(k, 32, 32, 63)
+    pk = _special()._hypergeom_pmf(k, 32, 32, 63)
     pmf = np.zeros(65)
     pmf[2 * k] = pk
-    mean = 2 * _hypergeom_mean(32, 32, 63)
-    sd = 2 * math.sqrt(_hypergeom_variance(32, 32, 63))
+    mean = 2 * _special()._hypergeom_mean(32, 32, 63)
+    sd = 2 * math.sqrt(_special()._hypergeom_variance(32, 32, 63))
     return LimitModel(
         "parity-shifted-hamming", 6, 1, float(mean), float(sd), float(pk[-1]), pmf
     )
 
 
-def limit_for(wires: int, target: TargetTable) -> LimitModel:
+def limit_for(wires: int, target: TargetTable, constant_fill: int = 1) -> LimitModel:
     """The limiting law of random circuits on `wires` wires scored against
     `target`: parity-shifted when the target uses every wire (no spares),
-    binomial once spare wires exist.  The parity-shifted law holds for a
-    6-input single-output target with 32 ones whose case 0 wants 0, as every
-    circuit fixes the all-zero bus."""
+    binomial once spare wires exist and hold `constant_fill` = 1.  The
+    parity-shifted law holds for a 6-input single-output target with 32 ones
+    whose case 0 wants 0, as every circuit fixes the all-zero bus."""
     n = target.n_inputs
     if wires < n:
         raise ValueError(f"need at least {n} wires to house {n} inputs")
+    if wires > n and not constant_fill:
+        raise ValueError("no limit law for spare wires holding 0: every gate fixes case 0's bus")
     if wires > n:
         return binomial_limit(n, target.m_outputs)
     if (n, target.m_outputs) != (6, 1) or target.rows[0] & 1 or target.rows[0].bit_count() != 32:
@@ -130,6 +132,15 @@ def limit_for(wires: int, target: TargetTable) -> LimitModel:
             "targets with balanced truth tables whose case 0 wants 0"
         )
     return parity_shifted_limit()
+
+
+def poisson_interval(count: int, confidence: float = 0.95) -> tuple[float, float]:
+    """Exact (Garwood) confidence interval for a Poisson count:
+    chi2.ppf(q, 2c) / 2 is gammaincinv(c, q), the same float."""
+    alpha = 1 - confidence
+    lo = 0.0 if count == 0 else _special().gammaincinv(count, alpha / 2)
+    hi = _special().gammaincinv(count + 1, 1 - alpha / 2)
+    return lo, hi
 
 
 def normalized_limit(n: int, m: int = 1) -> tuple[float, float]:

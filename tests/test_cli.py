@@ -55,9 +55,13 @@ def test_console_script_is_installed():
 
 
 def test_package_does_not_import_scipy_stats():
-    """scipy.stats costs about 1 s of a cold start; the package builds its
-    limit laws and Poisson intervals from scipy.special instead."""
-    probe = "import sys, revcirc, revcirc.cli; print('scipy.stats' in sys.modules)"
+    """No scipy module loads on import: only `theory`'s limit laws and
+    Poisson interval load scipy.special, on first use, and never
+    scipy.stats, which costs about 1 s of a cold start."""
+    probe = (
+        "import sys, revcirc, revcirc.cli; "
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, check=True, env=_source_tree_env(),
@@ -412,6 +416,13 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
         rc = main(["converge", "--wires", "6", "--lengths", "3", "--samples", "10",
                    "--workers", "1", "--target", str(tmp_path / name)])
         assert rc == 0
+    # Spare wires holding 0 have no limit law (case 0 never varies); with
+    # no spare wire the fill is unused.
+    out = tmp_path / "fill0.csv"
+    converge = ["converge", "--lengths", "3", "--samples", "10", "--workers", "1", "--fill", "0"]
+    assert main(converge + ["--wires", "7", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert main(converge + ["--wires", "6", "--out", str(out)]) == 0
     capsys.readouterr()
     # Workers and checkpoints compose: same CSV as a serial run.
     sample = ["sample", "--wires", "6", "--lengths", "3,5", "--samples", "70000"]
@@ -421,6 +432,18 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
     assert main(sample + ["--workers", "1", "--out", str(tmp_path / "serial.csv")]) == 0
     serial = (tmp_path / "serial.csv").read_bytes()
     assert (tmp_path / "parallel.csv").read_bytes() == serial
+
+
+def test_checkpoint_directory_is_made(tmp_path):
+    """A checkpoint in a missing directory is written there, and a rerun
+    resumes from it to the same CSV."""
+    ck = tmp_path / "nd" / "ck.json"
+    cmd = ["sample", "--wires", "6", "--lengths", "5", "--samples", "100", "--workers", "1",
+           "--checkpoint", str(ck)]
+    assert main(cmd + ["--out", str(tmp_path / "nd2" / "x.csv")]) == 0
+    assert ck.exists()
+    assert main(cmd + ["--out", str(tmp_path / "y.csv")]) == 0
+    assert (tmp_path / "y.csv").read_bytes() == (tmp_path / "nd2" / "x.csv").read_bytes()
 
 
 # SHA-256 pins of every other output path, recorded before the CSV writer,

@@ -103,8 +103,9 @@ def test_parity_shifted_limit_against_permutation_simulation():
 
 def test_limit_for_picks_the_law_by_spare_wires():
     """No spare wire gives the parity-shifted law (even fitness only); one
-    or more give the binomial law; too few wires, or a 6-input target the
-    parity-shifted law does not cover, are refused."""
+    or more holding 1 give the binomial law; too few wires, spare wires
+    holding 0, or a 6-input target the parity-shifted law does not cover,
+    are refused."""
     mux = six_multiplexor_target()
     no_spare = limit_for(6, mux)
     assert no_spare.kind == "parity-shifted-hamming"
@@ -119,6 +120,11 @@ def test_limit_for_picks_the_law_by_spare_wires():
         )
     with pytest.raises(ValueError, match="at least 6 wires"):
         limit_for(5, mux)
+    # The fill matters only on spare wires; holding 0, they leave case 0 on
+    # the all-zero bus, which no law here covers.
+    assert limit_for(6, mux, 0).kind == "parity-shifted-hamming"
+    with pytest.raises(ValueError, match="spare wires holding 0"):
+        limit_for(7, mux, 0)
     unbalanced = TargetTable.from_function(6, 1, lambda t: int(t & 3 == 3))
     case0_wants_1 = TargetTable.from_function(6, 1, lambda t: 1 - (t & 1))
     for target in (unbalanced, case0_wants_1):
