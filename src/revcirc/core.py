@@ -187,9 +187,12 @@ def enumerate_gates(wires: int) -> list[Gate]:
     return gates
 
 
-# Gate codes per block of kernel index vectors (three 512 KiB arrays), and
-# bus words per block of evaluate_batch rows.
-EVALUATE_INDEX_BLOCK = 1 << 16
+# Gate codes per index block of the batch kernels: a block's intp codes and
+# each table gathered at them take 128 KiB apiece.  A row block (`row_block`)
+# holds twice as many words of kernel state, so a row block's working set
+# stays well inside a 2 MiB L2 cache.  Both sizes were picked by timing
+# others from 2^13 to 2^17 (BENCH_sampler.json, entry 3).
+EVALUATE_INDEX_BLOCK = 1 << 14
 
 
 @cache
@@ -213,13 +216,31 @@ def _delta_swaps(wires: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, np.left_shift(1, tg).astype(np.uint64)
 
 
-def _code_blocks(columns: np.ndarray):
-    """The (L, B) gate-code columns as contiguous intp blocks of at most
-    EVALUATE_INDEX_BLOCK codes: bounded index memory, and few numpy calls
-    per column for small batches."""
-    step = max(1, EVALUATE_INDEX_BLOCK // max(columns.shape[1], 1))
-    for j in range(0, len(columns), step):
-        yield np.ascontiguousarray(columns[j : j + step], dtype=np.intp)
+def row_block(words: int) -> int:
+    """Circuits per row block of a batch kernel that works on `words` uint64
+    words per circuit: at most 2 * EVALUATE_INDEX_BLOCK words."""
+    return max(1, 2 * EVALUATE_INDEX_BLOCK // words)
+
+
+def _gathered_blocks(columns: np.ndarray, *tables: np.ndarray):
+    """Each table's entries at the (L, n) gate-code columns, as (rows, n)
+    arrays for one block of at most EVALUATE_INDEX_BLOCK codes at a time.
+
+    Every block's codes are cast to intp into one buffer and each table is
+    gathered into one more, all made once per walk: a block overwrites the
+    one before, so the walk holds 1 + len(tables) blocks whatever L is.
+    """
+    length, n = columns.shape
+    step = max(1, EVALUATE_INDEX_BLOCK // max(n, 1))
+    codes = np.empty((min(step, length), n), dtype=np.intp)
+    gathered = [np.empty(codes.shape, dtype=table.dtype) for table in tables]
+    for j in range(0, length, step):
+        block = codes[: length - j]
+        np.copyto(block, columns[j : j + step])
+        outs = [out[: len(block)] for out in gathered]
+        for table, out in zip(tables, outs):
+            table.take(block, out=out, mode="clip")
+        yield outs
 
 
 def evaluate_batch(gate_codes: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
@@ -227,17 +248,18 @@ def evaluate_batch(gate_codes: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
 
     `gate_codes` is (B, L): row s lists circuit s's gates as codes into
     gate_arrays(W); `init_rows` is the (W,) uint64 starting bus.  Returns
-    the final (B, W) uint64 rows.  Circuits run in blocks of at most
-    EVALUATE_INDEX_BLOCK bus words, which keeps a block's bus in cache.  A
-    block's bus is one flat array, and each gate column becomes three flat
-    index vectors (row base + wire), so a step is three 1-D gathers and one
-    scatter into preallocated buffers.
+    the final (B, W) uint64 rows.  Circuits run in row blocks of
+    `row_block(W)` circuits, which keeps a block's bus in cache.  A block's
+    bus is one flat array, and each gate column becomes three flat index
+    vectors (row base + wire), so a step is three 1-D gathers and one
+    scatter into preallocated buffers.  Beyond its result the call holds
+    one row block's index blocks (`_gathered_blocks`) and two row vectors.
     """
     wires = init_rows.shape[0]
-    tg, ca, cb = gate_arrays(wires)
+    tables = gate_arrays(wires)
     buses = np.empty((len(gate_codes), wires), dtype=np.uint64)
     buses[:] = init_rows
-    per_block = max(1, EVALUATE_INDEX_BLOCK // wires)
+    per_block = row_block(wires)
     # Every index is in range by construction; mode="clip" spares take's
     # bounds-checked copy into `out`.
     for r in range(0, len(buses), per_block):
@@ -245,8 +267,10 @@ def evaluate_batch(gate_codes: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
         bus = buses[r : r + per_block].reshape(-1)  # a view: writes land in `buses`
         base = np.arange(len(codes), dtype=np.intp) * wires
         va, vb = np.empty((2, len(codes)), dtype=np.uint64)
-        for block in _code_blocks(codes.T):
-            t, a, b = (wire.take(block, mode="clip") + base for wire in (tg, ca, cb))
+        for t, a, b in _gathered_blocks(codes.T, *tables):
+            t += base
+            a += base
+            b += base
             for tj, aj, bj in zip(t, a, b):
                 bus.take(aj, out=va, mode="clip")
                 bus.take(bj, out=vb, mode="clip")
@@ -266,23 +290,33 @@ def output_row_batch(
     bit `wire` set, pulled back through the gates last gate first (every
     CCNOT is its own inverse) by one delta swap per gate.  That leaves the
     starting states that end with `wire` at 1; case x starts in state x + F
-    (F the fill bits), so the row is the set shifted down by F.
+    (F the fill bits), so the row is the set shifted down by F.  Circuits
+    run in row blocks of `row_block(4)` circuits; beyond its result the call
+    holds one row block's delta words and three index blocks
+    (`_gathered_blocks`).
     """
     if wires > 6:
         raise ValueError(f"the states of {wires} wires do not fit one word")
     masks, shifts = _delta_swaps(wires)
-    sets = np.full(len(gate_codes), wire_patterns(wires, wires)[wire], dtype=np.uint64)
-    d = np.empty_like(sets)
-    for block in _code_blocks(gate_codes.T[::-1]):
-        for m, sh in zip(masks.take(block, mode="clip"), shifts.take(block, mode="clip")):
-            np.right_shift(sets, sh, out=d)
-            d ^= sets
-            d &= m
-            sets ^= d
-            d <<= sh
-            sets ^= d
+    rows = np.full(len(gate_codes), wire_patterns(wires, wires)[wire], dtype=np.uint64)
+    per_block = row_block(4)  # a set, its delta, and each gate's mask and shift
+    delta = np.empty(min(len(rows), per_block), dtype=np.uint64)
+    for r in range(0, len(rows), per_block):
+        sets = rows[r : r + per_block]  # a view: updates land in `rows`
+        d = delta[: len(sets)]
+        columns = gate_codes[r : r + per_block, ::-1].T
+        for block_masks, block_shifts in _gathered_blocks(columns, masks, shifts):
+            for m, sh in zip(block_masks, block_shifts):
+                np.right_shift(sets, sh, out=d)
+                d ^= sets
+                d &= m
+                sets ^= d
+                d <<= sh
+                sets ^= d
     fill = constant_fill * ((1 << wires) - (1 << n_inputs))
-    return (sets >> np.uint64(fill)) & np.uint64((1 << (1 << n_inputs)) - 1)
+    rows >>= np.uint64(fill)
+    rows &= np.uint64((1 << (1 << n_inputs)) - 1)
+    return rows
 
 
 def wire_patterns(wires: int, n_inputs: int, constant_fill: int = 1) -> list[int]:

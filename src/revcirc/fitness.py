@@ -14,7 +14,9 @@ from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
-from .core import Circuit, evaluate, evaluate_batch, gate_arrays, output_row_batch, wire_patterns
+from .core import (
+    Circuit, evaluate, evaluate_batch, gate_arrays, output_row_batch, row_block, wire_patterns,
+)
 
 __all__ = [
     "TargetTable",
@@ -223,18 +225,26 @@ class Scorer:
         up to 64 cases: every wire under "best", else the mapped output wires
         in map order.  A fixed map on up to 6 wires pulls each row back on
         one word per circuit (`core.output_row_batch`); the rest runs every
-        wire forward (`core.evaluate_batch`)."""
+        wire forward (`core.evaluate_batch`), a fixed map one row block at a
+        time, keeping only its mapped rows."""
         if self._cases > 64:
             raise ValueError("final rows fit one word per row only up to 64 cases")
-        if self.scoring == "best" or self.wires > 6:
-            rows = evaluate_batch(gate_codes, self._init_rows)
-            return rows if self.scoring == "best" else rows.T[list(self.scoring.wire_of_output)].T
+        if self.scoring == "best":
+            return evaluate_batch(gate_codes, self._init_rows)
+        mapped = list(self.scoring.wire_of_output)
+        if self.wires > 6:
+            rows = np.empty((len(gate_codes), len(mapped)), dtype=np.uint64)
+            step = row_block(self.wires)
+            for r in range(0, len(gate_codes), step):
+                rows[r : r + step] = evaluate_batch(
+                    gate_codes[r : r + step], self._init_rows)[:, mapped]
+            return rows
         # Column-major, as numpy reduces a few long columns far faster than
         # many short rows; built after the kernels, as a buffer allocated
         # before them slowed a 6-wire, 5-gate chunk by 15% (2-core Xeon).
         return np.array([output_row_batch(gate_codes, self.wires, self.target.n_inputs,
                                           self.constant_fill, w)
-                         for w in self.scoring.wire_of_output]).T
+                         for w in mapped]).T
 
     def score_codes(self, gate_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(fitness, wire) arrays of B circuits given as (B, L) gate codes;
@@ -247,7 +257,9 @@ class Scorer:
             scores = np.array(scores, dtype=np.int64).reshape(-1, 2)
             return scores[:, 0], scores[:, 1]
         # under "best" the one target word meets every wire's row
-        misses = np.bitwise_count(self.final_rows(gate_codes) ^ self._words)
+        rows = self.final_rows(gate_codes)
+        rows ^= self._words
+        misses = np.bitwise_count(rows)
         if self.scoring == "best":
             return self._cases - misses.min(axis=1).astype(np.int64), misses.argmin(axis=1)
         raw = self.target.max_fitness - misses.sum(axis=1, dtype=np.int64)

@@ -4,9 +4,10 @@ A genome is a list of genes: ordered slot triples s = (t*W + a)*W + b,
 the control order kept because it decides which wire a control-slot draw
 rewrites.  One cached table (`_gene_tables`) gives each gene its gate code,
 its slots and its moves (one wire of one slot changed).  The hill climber
-and `mutate` draw one move at a time (`_mutate_genes`), the GA one per
-genome for the whole population (`_mutate_population`, the same move
-distribution), and `neighborhood_size` counts them.  Search scores only
+and `mutate` draw one move at a time (`_mutate_genes`; the hill climber
+from blocks of generator words, `_WordDraws`, with the same stream), the GA
+one per genome for the whole population (`_mutate_population`, the same
+move distribution), and `neighborhood_size` counts them.  Search scores only
 through `fitness.Scorer`, as the sampler does: the hill climber one genome
 by `score_gates`, the GA a population by `score_codes`, at any case count.
 
@@ -114,6 +115,56 @@ def _mutate_genes(genes, wires: int, rng: np.random.Generator) -> int:
         slots.remove(slot)
 
 
+class _WordDraws:
+    """`integers(0, n)` exactly as the scalar `Generator.integers(0, n)`
+    would draw it from `rng`, served from blocks of the generator's 32-bit
+    words: one numpy call per block instead of one per draw.
+
+    For 1 < n <= 2^32 the scalar draw is numpy's Lemire rule on the next
+    32-bit words, and n == 1 draws nothing; `integers(0, 2**32, size=k,
+    dtype=np.uint32)` yields the same words.  On exit the generator goes
+    back to where the current block started and redraws the words used
+    from it, so it ends where the scalar calls would have left it.
+    """
+
+    BLOCK = 512
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._words: list[int] = []
+        self._next = 0
+        self._block_start = None  # the generator's state before the block
+
+    def _word(self) -> int:
+        if self._next == len(self._words):
+            self._block_start = self._rng.bit_generator.state
+            self._words = self._rng.integers(0, 1 << 32, size=self.BLOCK, dtype=np.uint32).tolist()
+            self._next = 0
+        self._next += 1
+        return self._words[self._next - 1]
+
+    def integers(self, low: int, high: int) -> int:
+        n = high - low
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"bound {n} is outside 1..2^32")
+        if n == 1:
+            return low
+        m = self._word() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._word() * n
+        return low + (m >> 32)
+
+    def __enter__(self) -> "_WordDraws":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._next < len(self._words):
+            self._rng.bit_generator.state = self._block_start
+            self._rng.integers(0, 1 << 32, size=self._next, dtype=np.uint32)
+
+
 def _mutate_population(genes: np.ndarray, wires: int, rng: np.random.Generator) -> None:
     """Make `_mutate_genes`'s move on every row of a (pop, length) gene
     array at once, with the same distribution: a gene per row, a slot per
@@ -210,17 +261,18 @@ def hill_climb(
     trajectory = [fit]
     first_hit = {fit: 1}
     max_fit = target.max_fitness
-    while evaluations < budget and fit < max_fit:
-        mutant, cand_gates = genome.copy(), gates.copy()
-        gi = _mutate_genes(mutant, start.wires, rng)
-        cand_gates[gi] = slots[mutant[gi]]
-        cand_fit, cand_wire = scorer.score_gates(cand_gates)
-        evaluations += 1
-        if cand_fit > fit or (accept_equal and cand_fit == fit):
-            genome, gates, fit, wire = mutant, cand_gates, cand_fit, cand_wire
-            if fit not in first_hit:
-                first_hit[fit] = evaluations
-        trajectory.append(fit)
+    with _WordDraws(rng) as draws:
+        while evaluations < budget and fit < max_fit:
+            mutant, cand_gates = genome.copy(), gates.copy()
+            gi = _mutate_genes(mutant, start.wires, draws)
+            cand_gates[gi] = slots[mutant[gi]]
+            cand_fit, cand_wire = scorer.score_gates(cand_gates)
+            evaluations += 1
+            if cand_fit > fit or (accept_equal and cand_fit == fit):
+                genome, gates, fit, wire = mutant, cand_gates, cand_fit, cand_wire
+                if fit not in first_hit:
+                    first_hit[fit] = evaluations
+            trajectory.append(fit)
     solved = fit == max_fit
     return RunRecord(
         best_fitness_per_generation=trajectory,

@@ -19,6 +19,7 @@ from revcirc.core import (
     parse_circuit,
     parse_circuits,
     random_circuit,
+    row_block,
     to_permutation,
     wire_patterns,
 )
@@ -279,9 +280,11 @@ def test_bus_permutation_predicates():
 @pytest.mark.parametrize("wires", [3, 4, 5, 6])
 def test_output_row_batch_matches_evaluate_batch(wires):
     """The backward one-word kernel gives every wire's row exactly as the
-    forward engine does, at every input width and fill, across index blocks."""
-    batch = 2048
-    assert EVALUATE_INDEX_BLOCK // batch < 40  # length 40 spans two blocks
+    forward engine does, at every input width and fill, across row blocks
+    and index blocks of both kernels."""
+    batch = max(row_block(4), row_block(3)) + 37  # two row blocks of either kernel
+    # length 40 spans two index blocks of each kernel's first row block
+    assert EVALUATE_INDEX_BLOCK // min(row_block(4), row_block(wires)) < 40
     rng = np.random.default_rng(wires)
     n_gates = len(enumerate_gates(wires))
     for length in (0, 1, 7, 40):
@@ -302,10 +305,11 @@ def test_output_row_batch_needs_one_word_of_states():
 
 @pytest.mark.parametrize("wires", [7, 12])
 def test_evaluate_batch_row_blocks_match_evaluate(wires):
-    """A batch of one row block (EVALUATE_INDEX_BLOCK bus words) plus 37
-    circuits gives every circuit's rows as core.evaluate does, the partial
-    last block included, at both fills."""
-    batch = EVALUATE_INDEX_BLOCK // wires + 37
+    """A batch of one row block (`row_block(W)` circuits) plus 37 circuits
+    gives every circuit's rows as core.evaluate does, the partial last block
+    included, at both fills."""
+    batch = row_block(wires) + 37
+    assert EVALUATE_INDEX_BLOCK // row_block(wires) < 15  # 15 gates span two index blocks
     gates = enumerate_gates(wires)
     rng = np.random.default_rng(wires)
     codes = rng.integers(0, len(gates), size=(batch, 15), dtype=np.uint16)

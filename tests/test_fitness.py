@@ -1,11 +1,12 @@
 """Targets, Hamming fitness (bit-parallel vs case-by-case), RMS error."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from revcirc.core import Circuit, Gate, random_circuit
+from revcirc.core import Circuit, Gate, enumerate_gates, random_circuit
 from revcirc.fitness import (
     DEFAULT_OUTPUT,
     FitnessValue,
@@ -228,3 +229,27 @@ def test_fitness_value_properties():
     fv = FitnessValue(64, 64)
     assert fv.solved and fv.normalized == 1.0
     assert not FitnessValue(0, 64).solved
+
+
+@pytest.mark.parametrize("batch", [8192, 32768])
+@pytest.mark.parametrize("wires", [6, 7, 12])
+def test_score_codes_holds_little_beyond_its_codes(wires, batch):
+    """One `Scorer.score_codes` call on a sampler-sized batch of 20-gate
+    circuits under the default map peaks at under 1.5 MiB of traced memory
+    beyond its codes (about 1.1 MiB at most): both kernels walk the batch in
+    row blocks and index blocks of fixed size, and the forward one keeps
+    only the mapped rows.  Whole-batch index blocks and a (B, W) bus took
+    2.6-6.6 MiB at these shapes."""
+    scorer = Scorer(wires, 6, 1, six_multiplexor_target(), DEFAULT_OUTPUT)
+    rng = np.random.default_rng(wires)
+    codes = rng.integers(0, len(enumerate_gates(wires)), size=(batch, 20), dtype=np.uint16)
+    scorer.score_codes(codes[:1])  # builds the cached gate tables
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        scorer.score_codes(codes)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20

@@ -1,5 +1,6 @@
 """Mutation, neighborhoods, hill climbing, the GA, and effort measures."""
 
+import contextlib
 import hashlib
 import math
 
@@ -17,9 +18,11 @@ from revcirc.fitness import (
     hamming_fitness_scalar,
     six_multiplexor_target,
 )
+from revcirc import search
 from revcirc.search import (
     GAConfig,
     RunRecord,
+    _WordDraws,
     _circuit,
     _gene_tables,
     _genes,
@@ -258,6 +261,78 @@ def test_hill_climb_is_deterministic_and_bounded():
     best = rec1.best_fitness_per_generation
     assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
     assert rec1.first_hit_evaluations[best[-1]] <= rec1.evaluations
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64,
+                  np.random.PCG64DXSM]
+# Bounds from 1 to 2^32, including ones that reject about half their words.
+WORD_BOUNDS = [1, 2, 3, 5, 20, 90, 1000, 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30,
+               2**32 - 1, 2**32]
+
+
+def same_state(a, b) -> bool:
+    """Bit-generator states (nested dicts, arrays for MT19937) compared."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def test_word_draws_match_scalar_integers(bit_generator):
+    """`_WordDraws.integers(0, n)` gives what the scalar
+    `Generator.integers(0, n)` gives, draw for draw, and leaves the generator
+    in the same state, with half a 64-bit word buffered before the run and
+    across several blocks of words."""
+    bounds = np.random.default_rng(7).choice(WORD_BOUNDS, size=3 * _WordDraws.BLOCK).tolist()
+    scalar, blocked = (np.random.Generator(bit_generator(11)) for _ in range(2))
+    for rng in (scalar, blocked):
+        rng.integers(0, 7)  # leaves half a 64-bit word buffered
+    want = [int(scalar.integers(0, n)) for n in bounds]
+    with _WordDraws(blocked) as draws:
+        got = [draws.integers(0, n) for n in bounds]
+    assert got == want
+    assert same_state(blocked.bit_generator.state, scalar.bit_generator.state)
+    assert blocked.integers(0, 2**63) == scalar.integers(0, 2**63)
+    with _WordDraws(blocked):  # no draw: the generator is untouched
+        pass
+    assert same_state(blocked.bit_generator.state, scalar.bit_generator.state)
+    for bad in (0, 2**32 + 1):
+        with pytest.raises(ValueError):
+            _WordDraws(blocked).integers(0, bad)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS[:2], ids=lambda bg: bg.__name__)
+@pytest.mark.parametrize("stop_after", [None, 700])
+def test_hill_climb_leaves_the_generator_where_scalar_draws_would(
+        monkeypatch, bit_generator, stop_after):
+    """`hill_climb` makes the moves, and leaves the caller's generator in the
+    state, that one scalar `Generator.integers` call per draw would, also
+    when a run ends in an exception (`stop_after` evaluations)."""
+    calls = 0
+    score_gates = Scorer.score_gates
+
+    def counted_score_gates(self, gates):
+        nonlocal calls
+        calls += 1
+        if calls == stop_after:
+            raise KeyboardInterrupt
+        return score_gates(self, gates)
+
+    monkeypatch.setattr(Scorer, "score_gates", counted_score_gates)
+    runs = []
+    for source in (search._WordDraws, contextlib.nullcontext):
+        monkeypatch.setattr(search, "_WordDraws", source)
+        calls = 0
+        rng = np.random.Generator(bit_generator(48))
+        start = random_circuit(12, 20, rng, n_inputs=6)
+        try:
+            rec = hill_climb(start, 1500, rng, target=TARGET, scoring="best")
+            runs.append((rec.best_fitness_per_generation, rec.first_hit_evaluations))
+        except KeyboardInterrupt:
+            runs.append(calls)
+        runs.append(rng.bit_generator.state)
+    assert runs[0] == runs[2]
+    assert same_state(runs[1], runs[3])
 
 
 def test_hill_climb_rejects_worse_mutants():
