@@ -206,14 +206,16 @@ def gate_arrays(wires: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @cache
-def _delta_swaps(wires: int) -> tuple[np.ndarray, np.ndarray]:
-    """(masks, shifts) by gate code: gate g swaps every state in masks[g]
-    (bits a and b set, bit t clear) with that state + shifts[g] = 2^t."""
+def _backward_tables(wires: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, masks, shifts): starts[w] is the set of states with bit w
+    set, and gate g swaps every state in masks[g] (bits a and b set, bit t
+    clear) with that state + shifts[g] = 2^t."""
     tg, ca, cb = gate_arrays(wires)
     s = np.arange(1 << wires)
     swapped = (s >> ca[:, None]) & (s >> cb[:, None]) & ~(s >> tg[:, None]) & 1
     masks = np.bitwise_or.reduce(swapped.astype(np.uint64) << s.astype(np.uint64), axis=1)
-    return masks, np.left_shift(1, tg).astype(np.uint64)
+    starts = np.array(wire_patterns(wires, wires), dtype=np.uint64)
+    return starts, masks, np.left_shift(1, tg).astype(np.uint64)
 
 
 def row_block(words: int) -> int:
@@ -243,80 +245,89 @@ def _gathered_blocks(columns: np.ndarray, *tables: np.ndarray):
         yield outs
 
 
-def evaluate_batch(gate_codes: np.ndarray, init_rows: np.ndarray) -> np.ndarray:
-    """Run B circuits bit-parallel: the batch engine behind sampling and search.
+def evaluate_batch(gate_codes: np.ndarray, init_rows: np.ndarray, keep: list[int]) -> np.ndarray:
+    """Run B circuits bit-parallel, every wire forward: "best" scoring and past 6 wires.
 
-    `gate_codes` is (B, L): row s lists circuit s's gates as codes into
-    gate_arrays(W); `init_rows` is the (W,) uint64 starting bus.  Returns
-    the final (B, W) uint64 rows.  Circuits run in row blocks of
-    `row_block(W)` circuits, which keeps a block's bus in cache.  A block's
-    bus is one flat array, and each gate column becomes three flat index
-    vectors (row base + wire), so a step is three 1-D gathers and one
-    scatter into preallocated buffers.  Beyond its result the call holds
-    one row block's index blocks (`_gathered_blocks`) and two row vectors.
+    `gate_codes` is (B, L) codes into gate_arrays(W); `init_rows` is the
+    (W,) uint64 starting bus.  Returns the (B, k) uint64 final rows of the
+    k wires in `keep`, in that order.  Circuits run in row blocks of
+    `row_block(W)` circuits, which keeps a block's bus in cache; beyond its
+    result the call holds one row block's bus and index blocks.
     """
+    kept = np.empty((len(gate_codes), len(keep)), dtype=np.uint64)
+    per_block = row_block(len(init_rows))
+    for r in range(0, len(kept), per_block):
+        _forward_block(gate_codes[r : r + per_block], init_rows, keep, kept[r : r + per_block])
+    return kept
+
+
+def _forward_block(gate_codes, init_rows, keep, out) -> None:
+    """Run one row block, its kept rows taken into `out`: on one flat bus each
+    gate column is three flat index vectors (row base + wire), so a step is
+    three 1-D gathers and one scatter.  Its bus and index blocks die on return."""
     wires = init_rows.shape[0]
-    tables = gate_arrays(wires)
-    buses = np.empty((len(gate_codes), wires), dtype=np.uint64)
-    buses[:] = init_rows
-    per_block = row_block(wires)
+    buses = init_rows[None].repeat(len(gate_codes), axis=0)
+    bus = buses.reshape(-1)  # a view: writes land in `buses`
+    base = np.arange(len(gate_codes), dtype=np.intp) * wires
+    va, vb = np.empty((2, len(gate_codes)), dtype=np.uint64)
     # Every index is in range by construction; mode="clip" spares take's
     # bounds-checked copy into `out`.
-    for r in range(0, len(buses), per_block):
-        codes = gate_codes[r : r + per_block]
-        bus = buses[r : r + per_block].reshape(-1)  # a view: writes land in `buses`
-        base = np.arange(len(codes), dtype=np.intp) * wires
-        va, vb = np.empty((2, len(codes)), dtype=np.uint64)
-        for t, a, b in _gathered_blocks(codes.T, *tables):
-            t += base
-            a += base
-            b += base
-            for tj, aj, bj in zip(t, a, b):
-                bus.take(aj, out=va, mode="clip")
-                bus.take(bj, out=vb, mode="clip")
-                va &= vb
-                bus.take(tj, out=vb, mode="clip")
-                vb ^= va
-                bus[tj] = vb
-    return buses
+    for t, a, b in _gathered_blocks(gate_codes.T, *gate_arrays(wires)):
+        t += base
+        a += base
+        b += base
+        for tj, aj, bj in zip(t, a, b):
+            bus.take(aj, out=va, mode="clip")
+            bus.take(bj, out=vb, mode="clip")
+            va &= vb
+            bus.take(tj, out=vb, mode="clip")
+            vb ^= va
+            bus[tj] = vb
+    buses.take(keep, axis=1, out=out, mode="clip")
 
 
 def output_row_batch(
-    gate_codes: np.ndarray, wires: int, n_inputs: int, constant_fill: int, wire: int
+    gate_codes: np.ndarray, wires: int, n_inputs: int, constant_fill: int, keep: list[int]
 ) -> np.ndarray:
-    """Wire `wire`'s final (B,) uint64 row of B circuits on at most 6 wires.
+    """The (B, k) uint64 final rows of the wires in `keep`, B circuits on <= 6 wires.
 
-    Each circuit gets one word holding a set of bus states: the states with
-    bit `wire` set, pulled back through the gates last gate first (every
-    CCNOT is its own inverse) by one delta swap per gate.  That leaves the
-    starting states that end with `wire` at 1; case x starts in state x + F
-    (F the fill bits), so the row is the set shifted down by F.  Circuits
-    run in row blocks of `row_block(4)` circuits; beyond its result the call
-    holds one row block's delta words and three index blocks
-    (`_gathered_blocks`).
+    Each circuit gets one word per kept wire holding a set of bus states:
+    the states with that wire set, pulled back through the gates last gate
+    first (every CCNOT is its own inverse) by one delta swap per gate.  That
+    leaves the starting states that end with the wire at 1; case x starts in
+    state x + F (F the fill bits), so the row is the set shifted down by F.
+    A row block's k sets walk together, so each gate table is gathered once
+    for all k.  Circuits run in row blocks of `row_block(2k + 2)` circuits;
+    beyond its result the call holds one row block's delta words and three
+    index blocks.  The result is column-major (the (k, B) sets, transposed).
     """
     if wires > 6:
         raise ValueError(f"the states of {wires} wires do not fit one word")
-    masks, shifts = _delta_swaps(wires)
-    rows = np.full(len(gate_codes), wire_patterns(wires, wires)[wire], dtype=np.uint64)
-    per_block = row_block(4)  # a set, its delta, and each gate's mask and shift
-    delta = np.empty(min(len(rows), per_block), dtype=np.uint64)
-    for r in range(0, len(rows), per_block):
-        sets = rows[r : r + per_block]  # a view: updates land in `rows`
-        d = delta[: len(sets)]
-        columns = gate_codes[r : r + per_block, ::-1].T
-        for block_masks, block_shifts in _gathered_blocks(columns, masks, shifts):
-            for m, sh in zip(block_masks, block_shifts):
-                np.right_shift(sets, sh, out=d)
-                d ^= sets
-                d &= m
-                sets ^= d
-                d <<= sh
-                sets ^= d
+    starts, masks, shifts = _backward_tables(wires)
+    rows = starts[keep, None].repeat(len(gate_codes), axis=1)  # a (k, B) block of sets
+    per_block = row_block(2 * len(keep) + 2)  # each set and its delta, each gate's mask and shift
+    delta = np.empty((len(keep), min(len(gate_codes), per_block)), dtype=np.uint64)
+    for r in range(0, len(gate_codes), per_block):
+        _pull_back(rows[:, r : r + per_block], delta, gate_codes[r : r + per_block], masks, shifts)
     fill = constant_fill * ((1 << wires) - (1 << n_inputs))
     rows >>= np.uint64(fill)
     rows &= np.uint64((1 << (1 << n_inputs)) - 1)
-    return rows
+    return rows.T
+
+
+def _pull_back(sets, delta, gate_codes, masks, shifts) -> None:
+    """Pull one row block's (k, n) sets, in place, back through its (n, L)
+    gate codes, last gate first, on `delta` words; its index blocks die on
+    return.  Gate tables come as (1, n) rows: same-shape operands are faster."""
+    d = delta[:, : sets.shape[1]]
+    for block_masks, block_shifts in _gathered_blocks(gate_codes[:, ::-1].T, masks, shifts):
+        for m, sh in zip(block_masks[:, None], block_shifts[:, None]):
+            np.right_shift(sets, sh, out=d)
+            d ^= sets
+            d &= m
+            sets ^= d
+            d <<= sh
+            sets ^= d
 
 
 def wire_patterns(wires: int, n_inputs: int, constant_fill: int = 1) -> list[int]:

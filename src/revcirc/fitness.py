@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Literal, Sequence
 import numpy as np
 
 from .core import (
-    Circuit, evaluate, evaluate_batch, gate_arrays, output_row_batch, row_block, wire_patterns,
+    Circuit, evaluate, evaluate_batch, gate_arrays, output_row_batch, wire_patterns,
 )
 
 __all__ = [
@@ -178,22 +178,27 @@ class Scorer:
                 f"circuit feeds {n_inputs} input wires but the target table "
                 f"has {target.n_inputs} inputs"
             )
-        if scoring == "best":
-            if target.m_outputs != 1:
-                raise ValueError("'best' scoring applies to single-output targets")
-        else:
-            if len(scoring) != target.m_outputs:
-                raise ValueError("output map arity does not match target")
-            if any(w >= wires for w in scoring.wire_of_output):
-                raise ValueError("output wire outside the bus")
+        self._kept = list(range(wires)) if scoring == "best" else list(scoring.wire_of_output)
+        if scoring == "best" and target.m_outputs != 1:
+            raise ValueError("'best' scoring applies to single-output targets")
+        if scoring != "best" and len(scoring) != target.m_outputs:
+            raise ValueError("output map arity does not match target")
+        if any(w >= wires for w in self._kept):
+            raise ValueError("output wire outside the bus")
         self.target = target
         self.scoring = scoring
         self.wires, self.constant_fill = wires, constant_fill
         self.wire_patterns = wire_patterns(wires, n_inputs, constant_fill)
         self._cases = target.case_count
-        if self._cases <= 64:
+        self._one_word = self._cases <= 64  # the one statement of the one-word limit
+        if self._one_word:
             self._words = np.array(target.rows, dtype=np.uint64)
             self._init_rows = np.array(self.wire_patterns, dtype=np.uint64)
+
+    def check_one_word(self) -> None:
+        """Refuse a target past one uint64 word of cases: the kernels' limit."""
+        if not self._one_word:
+            raise ValueError("rows fit one word only for n <= 6 inputs, up to 64 cases")
 
     def score_rows(self, rows: Sequence[int]) -> tuple[int, int]:
         """(fitness, wire) of one bus as Python-int rows; wire is -1 under a
@@ -223,34 +228,22 @@ class Scorer:
     def final_rows(self, gate_codes: np.ndarray) -> np.ndarray:
         """(B, k) uint64 final rows of B circuits given as (B, L) gate codes,
         up to 64 cases: every wire under "best", else the mapped output wires
-        in map order.  A fixed map on up to 6 wires pulls each row back on
-        one word per circuit (`core.output_row_batch`); the rest runs every
-        wire forward (`core.evaluate_batch`), a fixed map one row block at a
-        time, keeping only its mapped rows."""
-        if self._cases > 64:
-            raise ValueError("final rows fit one word per row only up to 64 cases")
-        if self.scoring == "best":
-            return evaluate_batch(gate_codes, self._init_rows)
-        mapped = list(self.scoring.wire_of_output)
-        if self.wires > 6:
-            rows = np.empty((len(gate_codes), len(mapped)), dtype=np.uint64)
-            step = row_block(self.wires)
-            for r in range(0, len(gate_codes), step):
-                rows[r : r + step] = evaluate_batch(
-                    gate_codes[r : r + step], self._init_rows)[:, mapped]
-            return rows
-        # Column-major, as numpy reduces a few long columns far faster than
-        # many short rows; built after the kernels, as a buffer allocated
-        # before them slowed a 6-wire, 5-gate chunk by 15% (2-core Xeon).
-        return np.array([output_row_batch(gate_codes, self.wires, self.target.n_inputs,
-                                          self.constant_fill, w)
-                         for w in mapped]).T
+        in map order: backward for a fixed map on up to 6 wires
+        (`core.output_row_batch`), else forward (`core.evaluate_batch`).
+        Backward rows come column-major, as a few long columns reduce far
+        faster than many short rows, and allocated by the kernel: a buffer
+        made ahead of it slowed a 6-wire, 5-gate chunk by 15% (2-core Xeon)."""
+        self.check_one_word()
+        if self.scoring != "best" and self.wires <= 6:
+            return output_row_batch(gate_codes, self.wires, self.target.n_inputs,
+                                    self.constant_fill, self._kept)
+        return evaluate_batch(gate_codes, self._init_rows, self._kept)
 
     def score_codes(self, gate_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(fitness, wire) arrays of B circuits given as (B, L) gate codes;
         wire is -1 under a fixed map.  Up to 64 cases it counts the misses in
         `final_rows`; past 64 it walks each circuit by `score_gates`."""
-        if self._cases > 64:
+        if not self._one_word:
             triples = np.stack(gate_arrays(self.wires), axis=1).tolist()
             scores = [self.score_gates(map(triples.__getitem__, codes))
                       for codes in gate_codes.tolist()]

@@ -1,12 +1,10 @@
 """Large-scale random-circuit experiments.
 
 The throughput core: sample millions of random circuits per length, score
-them bit-parallel (one 64-bit word covers all cases when n <= 6) and
-accumulate fitness histograms (`fitness.Scorer.score_codes`, which pulls
-the output wires of buses of up to 6 wires back through the gates on one
-word per circuit).
-Chunk generators are seeded from (seed, length, chunk index), so histograms
-are bit-identical for any worker count and runs can resume mid-stream.
+them bit-parallel through `fitness.Scorer` (one 64-bit word covers all cases
+when n <= 6) and accumulate fitness histograms.  Chunk generators are seeded
+from (seed, length, chunk index), so histograms are bit-identical for any
+worker count and runs can resume mid-stream.
 
 Also here: exhaustive enumeration of all short circuits (minimality scans),
 expanded level by level over bounded blocks of bus states.
@@ -42,8 +40,8 @@ __all__ = [
 
 CHUNK_SIZE = 1 << 15
 ENUMERATION_GUARD = 10**8
-# Bus words one scan level may hold at a time (8 MB): bounds the scan's memory.
-SCAN_BLOCK_WORDS = 1 << 20
+# Bus words a scan level holds at once (1 MiB; fastest of 2^14-2^20, BENCH_sampler.json).
+SCAN_BLOCK_WORDS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -72,10 +70,9 @@ class ExperimentConfig:
             raise ValueError("samples_per_length must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.target.n_inputs > self.wires:
-            raise ValueError("target has more input bits than wires")
-        if self.target.case_count > 64:
-            raise ValueError("sampling engine packs cases into one word (n <= 6)")
+        # the sampler's Scorer checks the shapes before any chunk or checkpoint
+        Scorer(self.wires, self.target.n_inputs, self.constant_fill, self.target,
+               self.outputs).check_one_word()
 
 
 @dataclass
@@ -131,9 +128,8 @@ def sample_fitness_histogram(
     so any partition of chunks across workers — or a resumed run starting at
     `first_chunk` with `initial_counts` — produces identical totals.
     """
-    if target.case_count > 64:
-        raise ValueError("sampling engine packs cases into one word (n <= 6)")
     scorer = Scorer(wires, target.n_inputs, constant_fill, target, outputs)
+    scorer.check_one_word()
     n_gates = len(gate_arrays(wires)[0])
     counts = np.zeros(target.max_fitness + 1, dtype=np.int64)
     if initial_counts is not None:
@@ -318,9 +314,8 @@ def exhaustive_min_scan(
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    if target.case_count > 64:
-        raise ValueError("scan packs cases into one word (n <= 6)")
     scorer = Scorer(wires, target.n_inputs, constant_fill, target, "best")
+    scorer.check_one_word()
     n_gates = len(gate_arrays(wires)[0])
     if n_gates ** max_length > ENUMERATION_GUARD:
         raise ValueError(

@@ -446,6 +446,21 @@ def test_checkpoint_directory_is_made(tmp_path):
     assert (tmp_path / "y.csv").read_bytes() == (tmp_path / "nd2" / "x.csv").read_bytes()
 
 
+def test_refused_sample_leaves_no_checkpoint_directory(tmp_path, capsys):
+    """An output wire off the bus, or a two-output target read from one
+    wire, is refused by the sampler's `Scorer` when the configuration is
+    built, before the checkpoint's directory is made."""
+    two_out = tmp_path / "two.txt"
+    two_out.write_text(TargetTable.from_function(6, 2, lambda t: t & 3).to_text())
+    ck = ["--checkpoint", str(tmp_path / "d" / "sub" / "x.json")]
+    cmd = ["sample", "--wires", "6", "--lengths", "5", "--samples", "10", "--workers", "1"]
+    for flags, message in ((["--output-wire", "9"], "outside the bus"),
+                           (["--target", str(two_out)], "arity")):
+        assert main(cmd + flags + ck) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+
 # SHA-256 pins of every other output path, recorded before the CSV writer,
 # the recipe table and the search-run path were folded together.  Each
 # search pin covers every file of the output directory plus stderr.

@@ -23,6 +23,7 @@ from revcirc.core import (
     to_permutation,
     wire_patterns,
 )
+from revcirc.fitness import OutputMap, Scorer, TargetTable
 
 
 def brute_force_gates(wires):
@@ -277,12 +278,35 @@ def test_bus_permutation_predicates():
     assert p.is_bijection() and not p.is_identity()
 
 
+def kept_wire_lists(wires):
+    """Kept-wire lists of one to three wires, in and out of wire order."""
+    top = wires - 1
+    return [[w] for w in range(wires)] + [[top, 0], [0, top], [1, top, 0], [top, 0, 1]]
+
+
+def final_rows_by_evaluate(wires, n_inputs, fill, codes, mapped):
+    """`Scorer.final_rows` of a two-output fixed map equals, row by row,
+    the mapped rows `core.evaluate` leaves on each circuit."""
+    pair = TargetTable.from_function(n_inputs, 2, lambda t: t & 3)
+    rows = Scorer(wires, n_inputs, fill, pair, OutputMap(mapped)).final_rows(codes).tolist()
+    gates = enumerate_gates(wires)
+    for s, row in enumerate(codes.tolist()):
+        circuit = Circuit(wires, [gates[c] for c in row], n_inputs, constant_fill=fill)
+        want = evaluate(circuit).wire_rows
+        assert rows[s] == [want[w] for w in mapped], s
+
+
 @pytest.mark.parametrize("wires", [3, 4, 5, 6])
 def test_output_row_batch_matches_evaluate_batch(wires):
-    """The backward one-word kernel gives every wire's row exactly as the
-    forward engine does, at every input width and fill, across row blocks
-    and index blocks of both kernels."""
-    batch = max(row_block(4), row_block(3)) + 37  # two row blocks of either kernel
+    """The backward one-word kernel gives the rows of any kept-wire list
+    (one to three wires, in any order) exactly as the forward engine does,
+    and a multi-wire call equals its one-wire calls, at every input width
+    and fill, across row blocks and index blocks of both kernels.  On 6
+    wires `Scorer.final_rows` of a two-output map is also checked row by row
+    against `core.evaluate`."""
+    # two row blocks of either kernel at every kept-wire count
+    batch = max(row_block(4), row_block(3)) + 37
+    assert batch > 2 * row_block(2 * 3 + 2)
     # length 40 spans two index blocks of each kernel's first row block
     assert EVALUATE_INDEX_BLOCK // min(row_block(4), row_block(wires)) < 40
     rng = np.random.default_rng(wires)
@@ -292,22 +316,31 @@ def test_output_row_batch_matches_evaluate_batch(wires):
         for n_inputs in range(1, wires + 1):
             for fill in (0, 1):
                 init = np.array(wire_patterns(wires, n_inputs, fill), dtype=np.uint64)
-                rows = evaluate_batch(codes, init)
-                for wire in range(wires):
-                    got = output_row_batch(codes, wires, n_inputs, fill, wire)
-                    assert np.array_equal(got, rows[:, wire]), (length, n_inputs, fill, wire)
+                rows = evaluate_batch(codes, init, list(range(wires)))
+                one = [output_row_batch(codes, wires, n_inputs, fill, [w]) for w in range(wires)]
+                for keep in kept_wire_lists(wires):
+                    got = output_row_batch(codes, wires, n_inputs, fill, keep)
+                    assert got.shape == (batch, len(keep))
+                    case = (length, n_inputs, fill, keep)
+                    assert np.array_equal(got, rows[:, keep]), case
+                    assert np.array_equal(got, np.hstack([one[w] for w in keep])), case
+                    assert np.array_equal(evaluate_batch(codes, init, keep), got), case
+    if wires == 6:
+        final_rows_by_evaluate(wires, 5, 0, codes, (5, 2))
 
 
 def test_output_row_batch_needs_one_word_of_states():
     with pytest.raises(ValueError):
-        output_row_batch(np.zeros((1, 1), dtype=np.uint16), 7, 7, 1, 0)
+        output_row_batch(np.zeros((1, 1), dtype=np.uint16), 7, 7, 1, [0])
 
 
 @pytest.mark.parametrize("wires", [7, 12])
 def test_evaluate_batch_row_blocks_match_evaluate(wires):
     """A batch of one row block (`row_block(W)` circuits) plus 37 circuits
     gives every circuit's rows as core.evaluate does, the partial last block
-    included, at both fills."""
+    included, at both fills, and any kept-wire list keeps those rows in its
+    order.  `Scorer.final_rows` of a two-output fixed map, which runs this
+    kernel past 6 wires, matches `core.evaluate` row by row."""
     batch = row_block(wires) + 37
     assert EVALUATE_INDEX_BLOCK // row_block(wires) < 15  # 15 gates span two index blocks
     gates = enumerate_gates(wires)
@@ -316,7 +349,10 @@ def test_evaluate_batch_row_blocks_match_evaluate(wires):
     circuits = [[gates[c] for c in row] for row in codes.tolist()]
     for fill in (0, 1):
         init = np.array(wire_patterns(wires, 6, fill), dtype=np.uint64)
-        rows = evaluate_batch(codes, init).tolist()
+        rows = evaluate_batch(codes, init, list(range(wires)))
         for s, circuit_gates in enumerate(circuits):
             want = evaluate(Circuit(wires, circuit_gates, 6, constant_fill=fill)).wire_rows
-            assert rows[s] == want, (fill, s)
+            assert rows[s].tolist() == want, (fill, s)
+        for keep in kept_wire_lists(wires):
+            assert np.array_equal(evaluate_batch(codes, init, keep), rows[:, keep]), (fill, keep)
+    final_rows_by_evaluate(wires, 6, 1, codes, (wires - 1, 2))

@@ -116,3 +116,19 @@ def test_cli_opens_files_only_through_its_output_stream():
     """`cli._output` is the one place a command creates a file or a
     directory, so a refused request cannot leave one behind."""
     assert writes_outside((PACKAGE / "cli.py").read_text(encoding="utf-8"), "_output") == []
+
+
+def comparisons_with(source: str, value: int) -> int:
+    """Comparisons with the integer literal `value` on either side."""
+    return sum(any(isinstance(o, ast.Constant) and o.value == value
+                   for o in (node.left, *node.comparators))
+               for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare))
+
+
+def test_one_word_limit_is_compared_only_in_the_scorer():
+    """The 64-case one-word limit is compared in one place, `fitness.Scorer`;
+    the sampler, the scan and `ExperimentConfig` call `Scorer.check_one_word`."""
+    assert comparisons_with("x = 64\nif n > 64 or 64 <= m < 99:\n    pass\n", 64) == 2
+    compared = {p.name: comparisons_with(p.read_text(encoding="utf-8"), 64)
+                for p in PACKAGE.glob("*.py")}
+    assert {name: n for name, n in compared.items() if n} == {"fitness.py": 1}
