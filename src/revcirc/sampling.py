@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise ValueError("samples_per_length must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.outputs == "best":
+            raise ValueError("the sampler needs a fixed output map, not best-wire scoring")
         # the sampler's Scorer checks the shapes before any chunk or checkpoint
         Scorer(self.wires, self.target.n_inputs, self.constant_fill, self.target,
                self.outputs).check_one_word()

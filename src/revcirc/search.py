@@ -31,9 +31,13 @@ batch holds only 1.8-3.2 useful ones (2-core Xeon, numpy 2.4).
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,11 +208,61 @@ def neighborhood_size(circuit: Circuit) -> int:
     return int(_gene_tables(circuit.wires).count[_genes(circuit)].sum())
 
 
+class _Climb(Sequence):
+    """A hill climb's fitness after each evaluation, read from its first hits.
+
+    The climber's fitness never falls, so entry e is the last level first
+    reached at or before evaluation e + 1: the climb is held once, as one
+    (evaluation, level) pair per level.  It reads as the list it stands for
+    (slices are lists, `==` holds against any equal sequence).
+    """
+
+    __slots__ = ("_hits", "_levels", "_len")
+
+    def __init__(self, first_hit: dict[int, int], evaluations: int):
+        pairs = sorted((ev, fit) for fit, ev in first_hit.items())
+        self._hits = tuple(ev for ev, _ in pairs)
+        self._levels = tuple(fit for _, fit in pairs)
+        self._len = evaluations
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        i = operator.index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("list index out of range")
+        return self._levels[bisect_right(self._hits, i + 1) - 1]
+
+    def __iter__(self):
+        ends = self._hits[1:] + (self._len + 1,)
+        for level, start, end in zip(self._levels, self._hits, ends):
+            yield from repeat(level, end - start)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class RunRecord:
-    """Trajectory and outcome of one search run."""
+    """Trajectory and outcome of one search run.
 
-    best_fitness_per_generation: list[int]
+    A GA run lists its best fitness per generation.  A hill climb's
+    `best_fitness_per_generation` is a read-only view of its fitness after
+    each evaluation, read from `first_hit_evaluations`, so a record holds
+    one entry per fitness level reached, not one per evaluation.
+    """
+
+    best_fitness_per_generation: Sequence[int]
     solved: bool
     evaluations: int
     solution: Circuit | None = None
@@ -242,9 +296,9 @@ def hill_climb(
     fitness improves (or matches, when `accept_equal`).
 
     Stops at perfect fitness or after `budget` fitness evaluations
-    (the initial evaluation counts).  The trajectory records the current
-    fitness after every evaluation; `first_hit_evaluations` maps each
-    fitness level to the evaluation that first reached it.
+    (the initial evaluation counts).  `first_hit_evaluations` maps each
+    fitness level to the evaluation that first reached it; the trajectory,
+    the current fitness after every evaluation, is a view read from it.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -258,7 +312,6 @@ def hill_climb(
     gates = [slots[gene] for gene in genome]  # the walk reads triples; a step rewrites one
     fit, wire = scorer.score_gates(gates)
     evaluations = 1
-    trajectory = [fit]
     first_hit = {fit: 1}
     max_fit = target.max_fitness
     with _WordDraws(rng) as draws:
@@ -272,10 +325,9 @@ def hill_climb(
                 genome, gates, fit, wire = mutant, cand_gates, cand_fit, cand_wire
                 if fit not in first_hit:
                     first_hit[fit] = evaluations
-            trajectory.append(fit)
     solved = fit == max_fit
     return RunRecord(
-        best_fitness_per_generation=trajectory,
+        best_fitness_per_generation=_Climb(first_hit, evaluations),
         solved=solved,
         evaluations=evaluations,
         solution=_circuit(genome, scorer) if solved else None,

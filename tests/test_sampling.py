@@ -233,6 +233,9 @@ def test_sampler_rejects_output_map_arity_mismatch():
                                  outputs=OutputMap((0, 1)))
     with pytest.raises(ValueError, match="arity"):  # refused before any chunk runs
         ExperimentConfig(wires=6, lengths=(3,), samples_per_length=100, target=two_out)
+    with pytest.raises(ValueError, match="fixed output map"):
+        ExperimentConfig(wires=6, lengths=(3,), samples_per_length=100, target=TARGET,
+                         outputs="best")
 
 
 class Interrupted(Exception):

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,84 @@ def test_hill_climb_leaves_the_generator_where_scalar_draws_would(
         runs.append(rng.bit_generator.state)
     assert runs[0] == runs[2]
     assert same_state(runs[1], runs[3])
+
+
+def reference_climb(start, rng, budget, scoring, accept_equal):
+    """The climb as a list, one entry per evaluation: a plain loop drawing
+    its moves from the generator one scalar call at a time and scoring each
+    circuit whole."""
+    scorer = Scorer(start.wires, start.n_inputs, start.constant_fill, TARGET, scoring)
+
+    def score(genes):
+        circuit = _circuit(genes, scorer)
+        if scoring == "best":
+            return best_wire_fitness(circuit, TARGET)[0].raw
+        return hamming_fitness(circuit, TARGET, scoring).raw
+
+    genes = _genes(start)
+    fit = score(genes)
+    trajectory = [fit]
+    while len(trajectory) < budget and fit < TARGET.max_fitness:
+        mutant = genes.copy()
+        _mutate_genes(mutant, start.wires, rng)
+        cand = score(mutant)
+        if cand > fit or (accept_equal and cand == fit):
+            genes, fit = mutant, cand
+        trajectory.append(fit)
+    return trajectory
+
+
+@pytest.mark.parametrize("accept_equal", [True, False])
+@pytest.mark.parametrize("wires,gates,scoring,budget", [
+    (6, 5, OutputMap((0,)), 1500), (12, 20, "best", 1500),
+])
+def test_hill_climb_trajectory_reads_as_the_list_it_stands_for(
+        wires, gates, scoring, budget, accept_equal):
+    """A climb's trajectory, kept as its first hits, reads as the list a
+    plain per-evaluation loop builds: items, slices, equality both ways,
+    repr, max and length."""
+    def fresh():
+        rng = np.random.default_rng(49)
+        return random_circuit(wires, gates, rng, n_inputs=6), rng
+
+    start, rng = fresh()
+    rec = hill_climb(start, budget, rng, scoring=scoring, accept_equal=accept_equal)
+    want = reference_climb(*fresh(), budget, scoring, accept_equal)
+    view = rec.best_fitness_per_generation
+    assert list(view) == want
+    assert len(view) == rec.evaluations == len(want)
+    assert view == want and want == view and view == tuple(want)
+    assert view != want[:-1] and view != want[:-1] + [want[-1] + 1]
+    assert repr(view) == repr(want)
+    assert max(view) == max(want)
+    assert view[0] == want[0] and view[-1] == want[-1]
+    assert [view[i] for i in range(-len(want), len(want))] == want + want
+    for s in (slice(None), slice(1, None), slice(None, None, 7), slice(-100, None, 3),
+              slice(None, None, -1), slice(len(want) - 3, 2, -5), slice(5, 5)):
+        assert view[s] == want[s] and type(view[s]) is list
+    for bad in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            view[bad]
+
+
+def test_hill_climb_record_holds_its_climb_once():
+    """A record keeps one entry per fitness level, not one per evaluation:
+    a 5,000-evaluation climb (6 wires x 5 gates has no solution, so every
+    evaluation runs) retains about a kilobyte, where a list would take
+    40 KB.  A first traced climb fills the caches and the interpreter's
+    free lists, so the second one's growth is its record alone."""
+    start = random_circuit(6, 5, np.random.default_rng(50))
+    rng = np.random.default_rng(51)
+    tracemalloc.start()
+    try:
+        hill_climb(start, 5000, np.random.default_rng(50), target=TARGET)
+        before = tracemalloc.get_traced_memory()[0]
+        rec = hill_climb(start, 5000, rng, target=TARGET)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rec.evaluations == 5000 and not rec.solved
+    assert retained < 4096
 
 
 def test_hill_climb_rejects_worse_mutants():
