@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -185,6 +184,9 @@ def sample_distribution(
     # No block has more ranges than the run has chunks.
     pool_size = min(config.workers, n_chunks)
     parallel = pool_size > 1
+    if parallel:
+        # Imported here: it loads multiprocessing, which serial runs never use.
+        from concurrent.futures import ProcessPoolExecutor
     results = []
     with ProcessPoolExecutor(pool_size) if parallel else nullcontext() as pool:
         for length in config.lengths:

@@ -37,14 +37,68 @@ PMF_SIZE_GUARD = 1 << 20
 
 
 def _special():
-    """scipy.special's ufuncs, imported on first use: only the laws and the
-    interval here load scipy.  The private ufuncs behind scipy.stats' binom
-    and hypergeom give pmfs and moments bit-identical to that subpackage's
-    (the pins were recorded with it) without its ~1 s import; being private,
-    they are checked only on the scipy floor in pyproject.toml (1.17)."""
+    """scipy.special's ufuncs, imported on first use.  Only Poisson
+    intervals and binomial laws of sizes other than m*2^n = 64 call it: the
+    six-multiplexor laws read the tables below.  The private ufuncs behind
+    scipy.stats' binom and hypergeom give pmfs and moments bit-identical to
+    that subpackage's (the pins were recorded with it) without its ~1 s
+    import; being private, they are checked only on the scipy floor in
+    pyproject.toml (1.17)."""
     from scipy.special import _ufuncs
 
     return _ufuncs
+
+
+# The two six-multiplexor limit pmfs as scipy 1.17.1 computes them, so that
+# the paper's laws import no scipy, the largest part of a cold start.
+# They are scipy's float64 values, not the exact rationals: C(64,k)/2^64
+# rounds differently in 63 of the 65 entries and the exact hypergeometric
+# in 31 of the 32, and every recorded digest was made with scipy's.  Each
+# literal round-trips to the same double.  Generated with
+#   python3 -c "import numpy as np; from scipy.special import _ufuncs as u;
+#   print([float(x) for x in u._binom_pmf(np.arange(65), 64, 0.5)]);
+#   print([float(x) for x in u._hypergeom_pmf(np.arange(1, 33), 32, 32, 63)])"
+
+# Binomial(64, 1/2) at fitness 0..64.
+_BINOMIAL_64_PMF = (
+    5.4210108624274927e-20, 3.469446951953597e-18, 1.0928757898653858e-16,
+    2.258609965721796e-15, 3.4443801977257506e-14, 4.1332562372709e-13,
+    4.064368633316391e-12, 3.367619724747855e-11, 2.39942905388286e-10,
+    1.4929780779715472e-09, 8.211379428843538e-09, 4.031040810523176e-08,
+    1.7803763579810702e-07, 7.121505431924307e-07, 2.5942626930581445e-06,
+    8.647542310193826e-06, 2.6483098324968617e-05, 7.477580703520505e-05,
+    0.00019524794059192426, 0.00047270554038044847, 0.0010635874658560115,
+    0.002228468976079259, 0.004355643907791282, 0.007953784527271046,
+    0.013587715234088036, 0.02174034437454079, 0.03261051656181125,
+    0.04589628256847506, 0.060648659108342017, 0.07528799061725214,
+    0.08783598905346111, 0.09633624605863457, 0.09934675374796692,
+    0.09633624605863458, 0.08783598905346109, 0.07528799061725215,
+    0.06064865910834206, 0.045896282568475076, 0.03261051656181116,
+    0.021740344374540848, 0.013587715234088037, 0.007953784527271046,
+    0.0043556439077912824, 0.0022284689760792595, 0.0010635874658560115,
+    0.00047270554038044847, 0.0001952479405919242, 7.477580703520506e-05,
+    2.6483098324968624e-05, 8.647542310193826e-06, 2.5942626930581454e-06,
+    7.121505431924307e-07, 1.78037635798107e-07, 4.0310408105231766e-08,
+    8.211379428843538e-09, 1.4929780779715472e-09, 2.39942905388286e-10,
+    3.367619724747855e-11, 4.0643686333163915e-12, 4.1332562372708997e-13,
+    3.4443801977257506e-14, 2.258609965721796e-15, 1.092875789865386e-16,
+    3.469446951953596e-18, 5.421010862427522e-20,
+)
+
+# Hypergeometric(63; 32, 32) at k = 1..32 (fitness 2k).
+_PARITY_HYPERGEOM_PMF = (
+    3.492260009577429e-17, 1.6780309346019545e-14, 2.5170464019029322e-12,
+    1.7640300200003047e-10, 6.914997678401195e-09, 1.6803444358514902e-07,
+    2.704554377703827e-06, 3.018475867973022e-05, 0.00024147806943784173,
+    0.0014193544303624252, 0.006245159493594671, 0.020864510126327653,
+    0.053498743913660635, 0.10611564040017304, 0.16372127376026696,
+    0.19714770048632146, 0.18555077692830257, 0.13643439480022246,
+    0.0781904718738117, 0.034774183543879414, 0.01192257721504437,
+    0.0031225797467973352, 0.0006171106218967066, 9.055427603919064e-05,
+    9.659122777513669e-06, 7.281492555356458e-07, 3.734098746336645e-08,
+    1.2348210140002134e-09, 2.4331448551728338e-11, 2.517046401902932e-13,
+    1.082600602969003e-15, 1.0913312529929466e-18,
+)
 
 
 @dataclass(frozen=True)
@@ -79,9 +133,11 @@ def binomial_limit(n: int, m: int = 1) -> LimitModel:
     M = m * (1 << n)
     mean = M / 2
     sd = math.sqrt(M) / 2
-    sol = math.exp(-M * math.log(2)) if M * math.log(2) < 745 else 0.0
+    sol = math.ldexp(1.0, -M)  # exactly 2^-M; 0.0 once it underflows
     pmf = None
-    if M + 1 <= PMF_SIZE_GUARD:
+    if M + 1 == len(_BINOMIAL_64_PMF):
+        pmf = np.array(_BINOMIAL_64_PMF)
+    elif M + 1 <= PMF_SIZE_GUARD:
         pmf = _special()._binom_pmf(np.arange(M + 1), M, 0.5)
     return LimitModel("binomial-hamming", n, m, mean, sd, sol, pmf)
 
@@ -102,14 +158,15 @@ def parity_shifted_limit() -> LimitModel:
     quoted by.  Perfect fitness has probability 1/C(63,32), about
     1.1e-18 — far above the binomial 2^-64 but still negligible.
     """
-    k = np.arange(1, 33)  # the ufunc gives nan off the support, at k = 0
-    pk = _special()._hypergeom_pmf(k, 32, 32, 63)
     pmf = np.zeros(65)
-    pmf[2 * k] = pk
-    mean = 2 * _special()._hypergeom_mean(32, 32, 63)
-    sd = 2 * math.sqrt(_special()._hypergeom_variance(32, 32, 63))
+    pmf[2::2] = _PARITY_HYPERGEOM_PMF
+    # Twice k's mean n*K/N and sd sqrt(n*K/N * (N-K)/N * (N-n)/(N-1)),
+    # written so that they round to scipy's _hypergeom_mean and
+    # _hypergeom_variance bit for bit.
+    mean = 2048 / 63
+    sd = 2 * math.sqrt(32 * 32 * 31 * 31 / (63 * 63 * 62))
     return LimitModel(
-        "parity-shifted-hamming", 6, 1, float(mean), float(sd), float(pk[-1]), pmf
+        "parity-shifted-hamming", 6, 1, mean, sd, _PARITY_HYPERGEOM_PMF[-1], pmf
     )
 
 

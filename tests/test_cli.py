@@ -33,6 +33,17 @@ def _source_tree_env():
     return env
 
 
+def _modules_loaded_by(probe):
+    """The names in sys.modules after `probe` (lines of Python) runs in a
+    fresh interpreter."""
+    code = probe + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=_source_tree_env(),
+    )
+    return set(json.loads(out.stdout.strip().splitlines()[-1]))
+
+
 def test_console_script_is_installed():
     """Run the declared ``revcirc`` entry point the way an installed console
     script does (``sys.exit(main())``), from the source tree in a fresh
@@ -55,18 +66,36 @@ def test_console_script_is_installed():
 
 
 def test_package_does_not_import_scipy_stats():
-    """No scipy module loads on import: only `theory`'s limit laws and
-    Poisson interval load scipy.special, on first use, and never
-    scipy.stats, which costs about 1 s of a cold start."""
-    probe = (
-        "import sys, revcirc, revcirc.cli; "
-        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    """No scipy module loads on import: only Poisson intervals and binomial
+    laws of sizes other than 64 load scipy.special, on first use, and
+    never scipy.stats, which costs about 1 s of a cold start."""
+    loaded = _modules_loaded_by("import revcirc, revcirc.cli")
+    assert not any(m.split(".")[0] == "scipy" for m in loaded)
+
+
+def test_six_multiplexor_laws_and_recipes_load_no_scipy(tmp_path):
+    """The paper's two limit laws are tables, and a serial run starts no
+    process pool: building both laws, the law of every bus width fig7
+    uses, and fig7 itself loads neither scipy nor multiprocessing."""
+    loaded = _modules_loaded_by(
+        "import revcirc, revcirc.cli\n"
+        "from revcirc import binomial_limit, limit_for, parity_shifted_limit, six_multiplexor_target\n"
+        "parity_shifted_limit(); binomial_limit(6)\n"
+        "for w in (6, 7, 12): limit_for(w, six_multiplexor_target())\n"
+        f"revcirc.cli.run_recipe('fig7', samples=64, out_dir={str(tmp_path)!r})"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True, text=True, check=True, env=_source_tree_env(),
-    )
-    assert out.stdout.strip() == "False"
+    assert (tmp_path / "manifest.json").is_file()
+    top = {m.split(".")[0] for m in loaded}
+    assert "scipy" not in top
+    assert "multiprocessing" not in top
+
+
+def test_intervals_and_other_binomial_sizes_still_load_scipy_special():
+    for call in ("poisson_interval(3)", "binomial_limit(3, 2)"):
+        loaded = _modules_loaded_by(
+            f"from revcirc.theory import binomial_limit, poisson_interval\n{call}"
+        )
+        assert "scipy.special" in loaded, call
 
 
 def test_sample_csv_schema(tmp_path):

@@ -148,7 +148,7 @@ def test_single_chunk_run_builds_no_worker_pool(monkeypatch):
         seed=9, workers=2,
     )
     serial = sample_distribution(replace(cfg, workers=1))
-    monkeypatch.setattr(sampling, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     for a, b in zip(serial, sample_distribution(cfg)):
         assert np.array_equal(a.counts, b.counts)
         assert b.total == CHUNK_SIZE
