@@ -41,6 +41,10 @@ CHUNK_SIZE = 1 << 15
 ENUMERATION_GUARD = 10**8
 # Bus words a scan level holds at once (1 MiB; fastest of 2^14-2^20, BENCH_sampler.json).
 SCAN_BLOCK_WORDS = 1 << 17
+# Bytes of gate codes a chunk draws and scores at once (2 MiB), and the
+# generator words one draw step takes (128 KiB).
+DRAW_BLOCK_BYTES = 1 << 21
+DRAW_STEP_WORDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -141,13 +145,58 @@ def sample_fitness_histogram(
     for c in range(first_chunk, last_chunk):
         batch = min(CHUNK_SIZE, samples - c * CHUNK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence([seed, length, c]))
-        gate_idx = rng.integers(0, n_gates, size=(batch, length), dtype=np.uint16)
-        fit, _ = scorer.score_codes(gate_idx)
-        counts += np.bincount(fit, minlength=len(counts))
+        for codes in _gate_code_blocks(rng, n_gates, batch, length):
+            fit, _ = scorer.score_codes(codes)
+            counts += np.bincount(fit, minlength=len(counts))
         added += batch
     prior = 0 if initial_counts is None else int(np.asarray(initial_counts).sum())
     assert counts.sum() == prior + added
     return FitnessHistogram(length, counts, int(counts.sum()))
+
+
+def _gate_code_blocks(rng: np.random.Generator, n_gates: int, batch: int, length: int):
+    """The (batch, length) codes `rng.integers(0, n_gates, size=(batch,
+    length), dtype=np.uint16)` draws, as row blocks of at most
+    DRAW_BLOCK_BYTES bytes, each yielded in one buffer that the next
+    overwrites; so a chunk holds 2 MiB of codes whatever its length.  A
+    chunk that fits one block as uint16 is numpy's call itself; longer ones
+    hold their codes in the smallest unsigned type (uint8 up to 256 gates,
+    so 6- and 7-wire blocks hold twice the circuits).
+
+    numpy draws each code by Lemire's rule on the next 16-bit half of the
+    generator's 32-bit words, low half first: m = half * n_gates, rejected
+    while m mod 2^16 < 2^16 mod n_gates, code m >> 16.  `integers(0, 2**32,
+    dtype=np.uint32)` yields the same words.  The last step draws words past
+    the chunk's codes, so the generator is left past where numpy's call
+    would leave it; each chunk's generator draws nothing else.
+    """
+    if not 1 <= n_gates <= 1 << 16:
+        raise ValueError(f"{n_gates} gate codes do not fit uint16")
+    if 2 * batch * length <= DRAW_BLOCK_BYTES:  # one block: numpy's own draw is faster
+        yield rng.integers(0, n_gates, size=(batch, length), dtype=np.uint16)
+        return
+    threshold = (1 << 16) % n_gates
+    dtype = np.min_scalar_type(n_gates - 1)
+    rows = max(1, DRAW_BLOCK_BYTES // (length * dtype.itemsize))
+    buffer = np.empty(min(rows, batch) * length, dtype=dtype)
+    drawn = buffer[:0]  # accepted codes not yet copied into a block
+    for r in range(0, batch, rows):
+        n = min(rows, batch - r)
+        block = buffer[: n * length]
+        filled = 0
+        while filled < len(block):
+            if not len(drawn):
+                words = rng.integers(0, 1 << 32, size=DRAW_STEP_WORDS, dtype=np.uint32)
+                m = np.multiply(words.astype("<u4", copy=False).view("<u2"), np.uint32(n_gates),
+                                dtype=np.uint32)
+                if threshold:
+                    m = m[m.astype(np.uint16) >= threshold]
+                drawn = (m >> 16).astype(dtype)
+            take = min(len(drawn), len(block) - filled)
+            block[filled : filled + take] = drawn[:take]
+            drawn = drawn[take:]
+            filled += take
+        yield block.reshape(n, length)
 
 
 def sample_distribution(

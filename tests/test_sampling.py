@@ -126,6 +126,50 @@ def test_engine_matches_scalar_oracle(monkeypatch, wires, length, outputs, fill,
     assert np.array_equal(hist.counts, expected)
 
 
+@pytest.mark.parametrize("n_gates", [1, 3, 60, 105, 660, 65535, 65536])
+@pytest.mark.parametrize("batch,length", [(1, 1), (37, 0), (37, 7), (300, 11)])
+def test_gate_code_blocks_are_numpys_draws(monkeypatch, n_gates, batch, length):
+    """Small blocks and steps, so blocks end mid-step and steps mid-block:
+    the blocks still join into numpy's own uint16 draw, and none is larger
+    than DRAW_BLOCK_BYTES (or one row)."""
+    monkeypatch.setattr(sampling, "DRAW_BLOCK_BYTES", 100)
+    monkeypatch.setattr(sampling, "DRAW_STEP_WORDS", 9)
+    seq = np.random.SeedSequence([n_gates, batch, length])
+    expected = np.random.default_rng(seq).integers(
+        0, n_gates, size=(batch, length), dtype=np.uint16
+    )
+    blocks = [
+        b.copy() for b in sampling._gate_code_blocks(
+            np.random.default_rng(seq), n_gates, batch, length
+        )
+    ]
+    code_bytes = 1 if n_gates <= 256 else 2
+    assert all(b.nbytes <= max(100, code_bytes * length) for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), expected)
+
+
+@pytest.mark.parametrize("wires", [6, 7])
+def test_long_chunk_holds_one_draw_block(wires):
+    """A chunk of 8,192 circuits of 500 gates peaks at under 4 MiB of traced
+    memory (about 3 MiB): its 4 MiB of uint8 codes come in 2 MiB draw
+    blocks.  One whole-chunk uint16 draw took 8.3 and 8.7 MiB."""
+    sample_fitness_histogram(wires, 1, 10, seed=0, target=TARGET)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sample_fitness_histogram(wires, 500, 8192, seed=0, target=TARGET)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_gate_code_blocks_refuse_codes_past_uint16():
+    with pytest.raises(ValueError, match="uint16"):
+        next(sampling._gate_code_blocks(np.random.default_rng(0), (1 << 16) + 1, 1, 1))
+
+
 def test_worker_split_is_invisible():
     cfg1 = ExperimentConfig(
         wires=7, lengths=(2, 6), samples_per_length=80_000, target=TARGET,
