@@ -2,8 +2,9 @@
 
 Both searches mutate one wire of one gate at a time.  The fitness landscape
 they walk is dominated by a huge plateau: most circuits score 40 (the
-fitness of ignoring the inputs entirely and outputting constant 1 — wire 0
-of the all-spares-untouched bus), and the best non-solutions cluster at 56.
+fitness of passing data input D0 straight through, as wire 0 of the empty
+circuit does on 6 or 12 wires; a constant output scores only 32), and the
+best non-solutions cluster at 56.
 
 * The hill climber accepts equal-or-better neighbours (neutral walks are
   essential here: strict improvement strands it at the first plateau), but

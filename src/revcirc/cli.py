@@ -198,54 +198,53 @@ def _cmd_minscan(args) -> int:
 # ---------------------------------------------------------------- search commands
 
 
-def _search_run(
-    method: str, seed_sequence: np.random.SeedSequence, wires: int, gates: int,
-    target: TargetTable, scoring, *, budget: int = HILL_CLIMB_BUDGET,
-    accept_equal: bool = True, ga: GAConfig | None = None,
-) -> RunRecord:
-    """One seeded hill-climber run, or GA run of `ga` with its seed drawn
-    from `seed_sequence`.  A claimed solution is re-checked case by case,
-    independent of the bit-parallel scorer; a wrong claim raises."""
-    if method == "hillclimb":
-        rng = np.random.default_rng(seed_sequence)
-        start = random_circuit(wires, gates, rng, n_inputs=target.n_inputs)
-        record = hill_climb(
-            start, budget, rng, target=target, scoring=scoring, accept_equal=accept_equal
-        )
-    else:
-        record = evolve(dataclasses.replace(ga, seed=int(seed_sequence.generate_state(1)[0])))
-    if record.solved:
-        check = hamming_fitness_scalar(record.solution, target, _solution_outputs(record, scoring))
+def _campaign(method, seed_prefix, runs, wires, gates, target, scoring, label, log, *,
+              budget=HILL_CLIMB_BUDGET, accept_equal=True, ga=None):
+    """`runs` runs of `method`, run r seeded by [*seed_prefix, r]: a hill climb
+    of `budget` evaluations from a random circuit, or a GA run of `ga` seeded
+    from that sequence.  Returns the records, the JSON lines of each run's
+    `log(run, record)` entries, and the solution lines headed by `label`.  A
+    claimed solution is re-checked case by case on the wires it was scored
+    on, independent of the bit-parallel scorer; a wrong claim raises."""
+    _check_runs(runs)
+    records, log_lines, solution_lines = [], [], []
+    for r in range(runs):
+        seed_sequence = np.random.SeedSequence([*seed_prefix, r])
+        if method == "hillclimb":
+            rng = np.random.default_rng(seed_sequence)
+            start = random_circuit(wires, gates, rng, n_inputs=target.n_inputs)
+            record = hill_climb(start, budget, rng, target, scoring, accept_equal)
+        else:
+            record = evolve(dataclasses.replace(ga, seed=int(seed_sequence.generate_state(1)[0])))
+        records.append(record)
+        log_lines += (json.dumps(entry, sort_keys=True) for entry in log(r, record))
+        if not record.solved:
+            continue
+        wire = record.solution_output_wire
+        outputs = scoring if wire is None else OutputMap((wire,))
+        check = hamming_fitness_scalar(record.solution, target, outputs)
         if not check.solved:
             raise AssertionError(
                 f"solution failed independent re-verification: {check.raw}/{check.max_raw}"
             )
-    return record
+        wires_text = ",".join(str(w) for w in outputs.wire_of_output)
+        solution_lines += [
+            f"# {label} run={r} output_wire={wires_text} evaluations={record.evaluations}",
+            format_circuit(record.solution),
+        ]
+    return records, log_lines, solution_lines
 
 
-def _solution_outputs(record: RunRecord, scoring) -> OutputMap:
-    """Output wires a solved record was scored on: the winning wire of a
-    best-wire run (always set), else the configured map."""
-    if record.solution_output_wire is not None:
-        return OutputMap((record.solution_output_wire,))
-    return scoring
-
-
-def _solution_lines(label: str, run: int, record: RunRecord, scoring) -> list[str]:
-    if not record.solved:
-        return []
-    wires = ",".join(str(w) for w in _solution_outputs(record, scoring).wire_of_output)
-    return [
-        f"# {label} run={run} output_wire={wires} evaluations={record.evaluations}",
-        format_circuit(record.solution),
-    ]
+def _outcome(run: int, record: RunRecord) -> dict:
+    """The log entry every run ends with."""
+    return {"run": run, "evaluations": record.evaluations,
+            "best": record.best_fitness_per_generation[-1], "solved": record.solved}
 
 
 def _hillclimb_log(run: int, record: RunRecord):
     for fit, ev in sorted(record.first_hit_evaluations.items()):
         yield {"run": run, "evaluations": ev, "best": fit}
-    best = record.best_fitness_per_generation[-1]
-    yield {"run": run, "evaluations": record.evaluations, "best": best, "solved": record.solved}
+    yield _outcome(run, record)
 
 
 def _ga_log(run: int, record: RunRecord):
@@ -261,27 +260,11 @@ def _check_runs(runs: int | None) -> None:
         raise ValueError(f"--runs must be >= 0, got {runs}")
 
 
-def _search_runs(args, target, seed, scoring, out_dir, log, **options):
-    """`args.runs` runs of `args.command`, run r seeded by [seed, r].  Each
-    run's `log` entries go to `runs.jsonl` under `out_dir` (else stdout)
-    as JSON lines, written once every run has succeeded.  Returns the
-    records and the `solutions.txt` lines."""
-    _check_runs(args.runs)
-    records, log_lines, solution_lines = [], [], []
-    for r in range(args.runs):
-        record = _search_run(
-            args.command, np.random.SeedSequence([seed, r]), args.wires,
-            args.gates, target, scoring, **options,
-        )
-        records.append(record)
-        log_lines += (json.dumps(entry, sort_keys=True) for entry in log(r, record))
-        solution_lines += _solution_lines(args.command, r, record, scoring)
+def _finish_search(summary: str, log_lines, solution_lines, out_dir) -> None:
+    """The log to `runs.jsonl` under `out_dir`, else stdout, written once
+    every run has succeeded; the summary on stderr; solved circuits to
+    `out_dir`, else to stderr too."""
     _write_lines(None if out_dir is None else out_dir / "runs.jsonl", log_lines)
-    return records, solution_lines
-
-
-def _finish_search(summary: str, solution_lines: list[str], out_dir) -> None:
-    """Summary on stderr; solved circuits to `out_dir`, else to stderr too."""
     print(summary, file=sys.stderr)
     if out_dir is None:
         sys.stderr.writelines(line + "\n" for line in solution_lines)
@@ -302,14 +285,14 @@ def _cmd_hillclimb(args) -> int:
             target=target, outputs=scoring, seed=seed + 1, workers=args.workers,
         )
     out_dir = None if args.out is None else Path(args.out)
-    records, solution_lines = _search_runs(
-        args, target, seed, scoring, out_dir, _hillclimb_log,
-        budget=args.budget, accept_equal=not args.strict,
+    records, log_lines, solution_lines = _campaign(
+        "hillclimb", (seed,), args.runs, args.wires, args.gates, target, scoring, "hillclimb",
+        _hillclimb_log, budget=args.budget, accept_equal=not args.strict,
     )
     solved = sum(r.solved for r in records)
     finals = [r.best_fitness_per_generation[-1] for r in records]
     summary = f"hillclimb: {solved}/{args.runs} solved; final fitness {sorted(finals)}"
-    _finish_search(summary, solution_lines, out_dir)
+    _finish_search(summary, log_lines, solution_lines, out_dir)
     if compare is not None:
         _compare_random(compare, records, out_dir)
     return 0
@@ -342,7 +325,9 @@ def _cmd_ga(args) -> int:
                   population=args.pop, tournament=args.tournament, generations=args.gens,
                   scoring=scoring)  # each run replaces the seed
     out_dir = None if args.out is None else Path(args.out)
-    records, solution_lines = _search_runs(args, target, seed, scoring, out_dir, _ga_log, ga=ga)
+    records, log_lines, solution_lines = _campaign(
+        "ga", (seed,), args.runs, args.wires, args.gates, target, scoring, "ga", _ga_log, ga=ga
+    )
     solved = sum(r.solved for r in records)
     summary = {
         "runs": args.runs,
@@ -353,7 +338,7 @@ def _cmd_ga(args) -> int:
     if out_dir is not None:
         _write_lines(out_dir / "summary.json", [json.dumps(summary, sort_keys=True, indent=2)])
     effort = f"; effort {summary['effort']}" if solved else ""
-    _finish_search(f"ga: {solved}/{args.runs} solved{effort}", solution_lines, out_dir)
+    _finish_search(f"ga: {solved}/{args.runs} solved{effort}", log_lines, solution_lines, out_dir)
     return 0
 
 
@@ -476,19 +461,15 @@ def _recipe_table1(seed, runs, generations, out_dir):
     for (method_idx, method), (cfg_idx, (wires, gates)), (score_idx, (score_name, scoring)) in (
         itertools.product(enumerate(("hillclimb", "ga")), enumerate(configs), enumerate(scorings))
     ):
-        solved = 0
-        for r in range(n_runs):
-            seed_sequence = np.random.SeedSequence([seed, method_idx, cfg_idx, score_idx, r])
-            rec = _search_run(method, seed_sequence, wires, gates, target, scoring,
-                              ga=ga[wires, gates, scoring])
-            solved += rec.solved
-            run_lines.append(json.dumps({
-                "method": method, "wires": wires, "gates": gates, "scoring": score_name,
-                "run": r, "best": rec.best_fitness_per_generation[-1],
-                "evaluations": rec.evaluations, "solved": rec.solved,
-            }, sort_keys=True))
-            label = f"{method} {score_name} {wires}w/{gates}g"
-            solution_lines += _solution_lines(label, r, rec, scoring)
+        cell = {"method": method, "wires": wires, "gates": gates, "scoring": score_name}
+        records, logs, solutions = _campaign(
+            method, (seed, method_idx, cfg_idx, score_idx), n_runs, wires, gates, target,
+            scoring, f"{method} {score_name} {wires}w/{gates}g",
+            lambda r, record: [{**cell, **_outcome(r, record)}], ga=ga[wires, gates, scoring],
+        )
+        run_lines += logs
+        solution_lines += solutions
+        solved = sum(r.solved for r in records)
         success_rows.append((method, wires, gates, score_name, n_runs, solved))
     success_path = out_dir / "table1_success.csv"
     header = ["method", "wires", "gates", "scoring", "runs", "solved"]

@@ -75,7 +75,8 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.outputs == "best":
             raise ValueError("the sampler needs a fixed output map, not best-wire scoring")
-        # the sampler's Scorer checks the shapes before any chunk or checkpoint
+        # the sampler's gate table and Scorer check the bus before any chunk or checkpoint
+        gate_arrays(self.wires)
         Scorer(self.wires, self.target.n_inputs, self.constant_fill, self.target,
                self.outputs).check_one_word()
 

@@ -284,6 +284,15 @@ def _circuit(genes: Sequence[int], scorer: Scorer) -> Circuit:
     return Circuit(scorer.wires, gates, scorer.target.n_inputs, constant_fill=scorer.constant_fill)
 
 
+def _record(scorer: Scorer, trajectory, evaluations: int, genome, fit: int, wire: int,
+            **fields) -> RunRecord:
+    """The record of a run that ended on `genome`, of fitness `fit` on
+    output wire `wire` (-1 under a fixed map): solved at perfect fitness."""
+    solved = fit == scorer.target.max_fitness
+    return RunRecord(trajectory, solved, evaluations, _circuit(genome, scorer) if solved else None,
+                     wire if solved and wire >= 0 else None, **fields)
+
+
 def hill_climb(
     start: Circuit,
     budget: int,
@@ -325,15 +334,8 @@ def hill_climb(
                 genome, gates, fit, wire = mutant, cand_gates, cand_fit, cand_wire
                 if fit not in first_hit:
                     first_hit[fit] = evaluations
-    solved = fit == max_fit
-    return RunRecord(
-        best_fitness_per_generation=_Climb(first_hit, evaluations),
-        solved=solved,
-        evaluations=evaluations,
-        solution=_circuit(genome, scorer) if solved else None,
-        solution_output_wire=(wire if solved and wire >= 0 else None),
-        first_hit_evaluations=first_hit,
-    )
+    return _record(scorer, _Climb(first_hit, evaluations), evaluations, genome, fit, wire,
+                   first_hit_evaluations=first_hit)
 
 
 @dataclass(frozen=True)
@@ -373,37 +375,21 @@ def evolve(config: GAConfig) -> RunRecord:
     gate_genes = (tg * w + ca) * w + cb
     pop, length = config.population, config.length
     genomes = gate_genes[rng.integers(0, len(gate_genes), size=(pop, length))]
-    fits, wires_out = scorer.score_codes(codes.take(genomes))
-    best_per_gen = [int(fits.max())]
-    mean_per_gen = [float(fits.mean())]
-    evaluations = pop
-    generation = 0
-    while fits.max() < config.target.max_fitness and generation < config.generations:
+    best_per_gen, mean_per_gen = [], []
+    while True:
+        fits, wires_out = scorer.score_codes(codes.take(genomes))
+        best_per_gen.append(int(fits.max()))
+        mean_per_gen.append(float(fits.mean()))
+        if best_per_gen[-1] == config.target.max_fitness or len(best_per_gen) > config.generations:
+            break
         entries = rng.integers(0, pop, size=(pop, config.tournament))
         keys = fits[entries] + rng.random((pop, config.tournament))
         winners = entries[np.arange(pop), np.argmax(keys, axis=1)]
         genomes = genomes[winners]
         _mutate_population(genomes, w, rng)
-        fits, wires_out = scorer.score_codes(codes.take(genomes))
-        evaluations += pop
-        best_per_gen.append(int(fits.max()))
-        mean_per_gen.append(float(fits.mean()))
-        generation += 1
-    solved = bool(fits.max() == config.target.max_fitness)
-    solution = solution_wire = None
-    if solved:
-        idx = int(np.argmax(fits))
-        solution = _circuit(genomes[idx], scorer)
-        w = int(wires_out[idx])
-        solution_wire = w if w >= 0 else None
-    return RunRecord(
-        best_fitness_per_generation=best_per_gen,
-        solved=solved,
-        evaluations=evaluations,
-        solution=solution,
-        solution_output_wire=solution_wire,
-        mean_fitness_per_generation=mean_per_gen,
-    )
+    idx = int(np.argmax(fits))
+    return _record(scorer, best_per_gen, pop * len(best_per_gen), genomes[idx], int(fits[idx]),
+                   int(wires_out[idx]), mean_fitness_per_generation=mean_per_gen)
 
 
 def koza_effort(
@@ -414,31 +400,22 @@ def koza_effort(
     I(M, i, z) = M * (i+1) * R(i) minimized over generations i, where
     P(M, i) is the fraction of runs whose best fitness was perfect by
     generation i and R(i) = ceil(ln(1-z) / ln(1-P(M,i))) independent runs
-    (1 when P = 1).
+    (1 when P = 1).  P rises only at solve generations and R holds between
+    them while i grows, so only the k-th solve generation, P = k / runs, is tried.
     """
     if not runs:
         raise ValueError("koza_effort needs at least one run")
     max_fit = max(max(r.best_fitness_per_generation) for r in runs)
-    solve_gens = []
-    any_solved = False
-    for r in runs:
-        g = r.solve_generation(max_fit) if r.solved else None
-        solve_gens.append(g)
-        any_solved = any_solved or (g is not None)
-    if not any_solved:
+    solve_gens = sorted(g for g in (r.solve_generation(max_fit) for r in runs if r.solved)
+                        if g is not None)
+    if not solve_gens:
         raise ValueError("koza_effort is undefined when no run solved")
-    horizon = max(len(r.best_fitness_per_generation) for r in runs)
-    best = None
-    for i in range(horizon):
-        p = sum(1 for g in solve_gens if g is not None and g <= i) / len(runs)
-        if p == 0:
-            continue
-        r_needed = 1 if p >= 1 else math.ceil(math.log(1 - z) / math.log(1 - p))
-        effort = population * (i + 1) * max(1, r_needed)
-        if best is None or effort < best:
-            best = effort
-    assert best is not None
-    return best
+
+    def runs_needed(p: float) -> int:
+        return 1 if p >= 1 else max(1, math.ceil(math.log(1 - z) / math.log(1 - p)))
+
+    return min(population * (i + 1) * runs_needed(k / len(runs))
+               for k, i in enumerate(solve_gens, 1))
 
 
 def coupon_collector_expected(k: int) -> float:

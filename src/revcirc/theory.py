@@ -127,10 +127,22 @@ class LimitModel:
         return [(f, float(p)) for f, p in enumerate(self.pmf)]
 
 
+def _table_bits(n: int, m: int) -> int:
+    """m * 2^n, the bits of an n-input, m-output truth table; refused unless
+    n >= 0, m >= 1 and it fits a float, so every moment made from it is finite."""
+    if n < 0 or m < 1:
+        raise ValueError(f"need n >= 0 input bits and m >= 1 output bits, got n={n}, m={m}")
+    try:
+        math.ldexp(m, n)
+    except OverflowError:
+        raise ValueError(f"m * 2^n is too large for a float at n={n}, m={m}") from None
+    return m << n
+
+
 def binomial_limit(n: int, m: int = 1) -> LimitModel:
     """Limit law with spare wires: every output bit is an independent fair
     coin on every case, so raw fitness ~ Binomial(m*2^n, 1/2)."""
-    M = m * (1 << n)
+    M = _table_bits(n, m)
     mean = M / 2
     sd = math.sqrt(M) / 2
     sol = math.ldexp(1.0, -M)  # exactly 2^-M; 0.0 once it underflows
@@ -203,6 +215,7 @@ def poisson_interval(count: int, confidence: float = 0.95) -> tuple[float, float
 def normalized_limit(n: int, m: int = 1) -> tuple[float, float]:
     """Mean and sd of normalized fitness (raw / m*2^n) in the limit:
     (0.5, 2^(-n/2) / (2*sqrt(m)))."""
+    _table_bits(n, m)
     return 0.5, 2 ** (-n / 2) / (2 * math.sqrt(m))
 
 
@@ -217,11 +230,13 @@ def rms_limit(m: int, regime: str) -> tuple[float, float]:
     themselves uniformly spread; quoted values 7/(12*sqrt(3)) * 2^m for the
     mean (~0.337*2^m) and 0.23*2^m for the sd.
     """
+    if not 1 <= m < 1024:  # 2^m must fit a float
+        raise ValueError(f"need 1 <= m < 1024 answer bits, got m={m}")
     scale = float(1 << m)
     if regime == "small-T":
         return scale / 2, scale / (2 * math.sqrt(3))
-    if regime == "exhaustive-uniform":
-        return 7 * scale / (12 * math.sqrt(3)), 0.23 * scale
+    if regime == "exhaustive-uniform":  # scaled last, so that no product overflows
+        return 7 / (12 * math.sqrt(3)) * scale, 0.23 * scale
     raise ValueError(f"unknown RMS regime {regime!r} (use 'small-T' or 'exhaustive-uniform')")
 
 

@@ -4,15 +4,23 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
 from revcirc.cli import main, run_recipe
-from revcirc.core import parse_circuits
-from revcirc.fitness import OutputMap, TargetTable, hamming_fitness_scalar, six_multiplexor_target
+from revcirc.core import Circuit, Gate, parse_circuits
+from revcirc.fitness import (
+    FitnessValue,
+    OutputMap,
+    TargetTable,
+    hamming_fitness_scalar,
+    six_multiplexor_target,
+)
 from revcirc.theory import parity_shifted_limit
 
 
@@ -48,7 +56,6 @@ def test_console_script_is_installed():
     """Run the declared ``revcirc`` entry point the way an installed console
     script does (``sys.exit(main())``), from the source tree in a fresh
     interpreter, so no install step is needed."""
-    tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         entry = tomllib.load(fh)["project"]["scripts"]["revcirc"]
     module, attr = entry.split(":")
@@ -166,7 +173,7 @@ def test_density_csv_schema(tmp_path):
         assert int(count) == 0  # no 6-multiplexor solutions this short
 
 
-def test_minscan_cli(tmp_path):
+def test_minscan_cli(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     rc = main([
         "minscan", "--wires", "6", "--lengths", "2", "--out", str(out),
@@ -175,6 +182,18 @@ def test_minscan_cli(tmp_path):
     rows = read_csv(out)
     assert rows[0] == ["length", "count"]
     assert rows[1:] == [["1", "0"], ["2", "0"]]
+    assert capsys.readouterr().err == "no solutions with <= 2 gates\n"
+    # x0 ^ x1 ^ x1*x2 on 3 wires: a CNOT then a CCNOT onto wire 0, and no
+    # single gate leaves it on any wire.
+    two_gates = Circuit(3, [Gate(0, 1, 1), Gate(0, 1, 2)])
+    target = TargetTable.from_function(3, 1, lambda t: (t ^ (t >> 1) ^ (t >> 1 & t >> 2)) & 1)
+    assert hamming_fitness_scalar(two_gates, target).solved
+    (tmp_path / "t.txt").write_text(target.to_text())
+    assert main(["minscan", "--wires", "3", "--lengths", "3", "--target", str(tmp_path / "t.txt"),
+                 "--out", str(out)]) == 0
+    counts = {int(n): int(c) for n, c in read_csv(out)[1:]}
+    assert counts[1] == 0 < counts[2]
+    assert capsys.readouterr().err == "shortest solution: 2 gates\n"
 
 
 def test_minscan_guard_is_a_cli_error(tmp_path):
@@ -324,6 +343,24 @@ def test_limit_csv(tmp_path):
     assert float(rows[1][0]) == 32.0
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--kind", "binomial", "--n", "2000"], "too large for a float"),
+    (["--kind", "rms", "--m", "2000"], "m < 1024"),
+    (["--kind", "normalized", "--m", "0"], "m >= 1"),
+    (["--kind", "binomial", "--n", "-1"], "n >= 0"),
+    (["--kind", "binomial", "--m", "0"], "m >= 1"),
+], ids=["binomial-n2000", "rms-m2000", "normalized-m0", "binomial-n-1", "binomial-m0"])
+def test_limit_refuses_out_of_range_sizes(tmp_path, capsys, flags, message):
+    """Sizes whose moments overflow a float, a negative input count and an
+    empty output are refused as CLI errors naming the bound, before any
+    file is written."""
+    out = tmp_path / "limit.csv"
+    assert main(["limit", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("revcirc: error:") and message in err
+    assert not out.exists()
+
+
 def test_recipe_manifest_round_trip(tmp_path):
     first = run_recipe("fig7", scale="ci", seed=17, out_dir=tmp_path / "one",
                        samples=20_000)
@@ -351,8 +388,11 @@ def test_recipe_fig7_schema(tmp_path):
     assert series[0] == ["length", "mean", "sd", "tvd", "solutions", "total"]
 
 
-def test_recipe_table3_exact_values(tmp_path):
-    run_recipe("table3", seed=0, out_dir=tmp_path)
+def test_recipe_table3_exact_values(tmp_path, capsys):
+    assert main(["recipe", "table3", "--seed", "0", "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"recipe table3 (ci): wrote 1 artifact(s) to {tmp_path} in ")
+    assert err.endswith("s\n") and len(err.splitlines()) == 1
     rows = read_csv(tmp_path / "table3_theory.csv")
     assert rows[0] == ["quantity", "n", "m", "mean", "sd"]
     table = {r[0]: (float(r[3]), float(r[4])) for r in rows[1:]}
@@ -477,14 +517,18 @@ def test_checkpoint_directory_is_made(tmp_path):
 
 def test_refused_sample_leaves_no_checkpoint_directory(tmp_path, capsys):
     """An output wire off the bus, or a two-output target read from one
-    wire, is refused by the sampler's `Scorer` when the configuration is
-    built, before the checkpoint's directory is made."""
+    wire, is refused by the sampler's `Scorer`, and a bus with no legal gate
+    by its gate table, when the configuration is built, before the
+    checkpoint's directory is made."""
     two_out = tmp_path / "two.txt"
     two_out.write_text(TargetTable.from_function(6, 2, lambda t: t & 3).to_text())
+    two_in = tmp_path / "t2.txt"
+    two_in.write_text(TargetTable.from_function(2, 1, lambda t: t & 1).to_text())
     ck = ["--checkpoint", str(tmp_path / "d" / "sub" / "x.json")]
-    cmd = ["sample", "--wires", "6", "--lengths", "5", "--samples", "10", "--workers", "1"]
-    for flags, message in ((["--output-wire", "9"], "outside the bus"),
-                           (["--target", str(two_out)], "arity")):
+    cmd = ["sample", "--lengths", "5", "--samples", "10", "--workers", "1"]
+    for flags, message in ((["--wires", "6", "--output-wire", "9"], "outside the bus"),
+                           (["--wires", "6", "--target", str(two_out)], "arity"),
+                           (["--wires", "2", "--target", str(two_in)], "no legal CCNOT")):
         assert main(cmd + flags + ck) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
@@ -667,6 +711,38 @@ def test_refused_search_writes_nothing(tmp_path, capsys, command):
     assert main(command + ["--out", str(out_dir)]) == 1
     assert "revcirc: error:" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def _unsolved(circuit, target, outputs):
+    """A case-by-case check that rejects every claimed solution."""
+    return FitnessValue(raw=63, max_raw=64)
+
+
+@pytest.mark.parametrize("command", [
+    ["hillclimb", "--wires", "3", "--gates", "2", "--runs", "2", "--budget", "5000"],
+    ["ga", "--wires", "3", "--gates", "2", "--runs", "2", "--pop", "20", "--gens", "50"],
+], ids=["hillclimb", "ga"])
+def test_search_refuses_a_solution_that_fails_reverification(tmp_path, monkeypatch, command):
+    """A claimed solution the case-by-case check rejects raises before any
+    log or solution file is written."""
+    target = tmp_path / "t.txt"
+    target.write_text(TargetTable.from_function(3, 1, lambda t: (t ^ t >> 1) & 1).to_text())
+    out_dir = tmp_path / "d"
+    argv = command + ["--target", str(target), "--output-wire", "best", "--out", str(out_dir)]
+    assert main(argv) == 0  # both runs solve, and their solutions pass the check
+    assert len(parse_circuits((out_dir / "solutions.txt").read_text())) == 2
+    shutil.rmtree(out_dir)
+    monkeypatch.setattr("revcirc.cli.hamming_fitness_scalar", _unsolved)
+    with pytest.raises(AssertionError, match="re-verification: 63/64"):
+        main(argv)
+    assert not out_dir.exists()
+
+
+def test_table1_refuses_a_solution_that_fails_reverification(tmp_path, monkeypatch):
+    monkeypatch.setattr("revcirc.cli.hamming_fitness_scalar", _unsolved)
+    with pytest.raises(AssertionError, match="re-verification: 63/64"):
+        run_recipe("table1", seed=5, out_dir=tmp_path / "d", runs=2, generations=300)
+    assert not (tmp_path / "d").exists()
 
 
 def test_table1_checks_ga_parameters_before_any_climb(tmp_path, monkeypatch):

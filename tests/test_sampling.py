@@ -36,6 +36,21 @@ TARGET = six_multiplexor_target()
 D0_PASSTHROUGH = TargetTable(6, 1, (sum(1 << t for t in range(64) if t & 1),))
 
 
+def test_histogram_chunk_by_chunk_equals_one_call():
+    """A run resumed at every chunk, each call adding its chunk to the
+    counts so far, ends with the one-call histogram."""
+    samples = 3 * CHUNK_SIZE + 100
+    whole = sample_fitness_histogram(6, 5, samples, seed=4, target=TARGET)
+    hist = None
+    for c in range(4):
+        hist = sample_fitness_histogram(
+            6, 5, samples, seed=4, target=TARGET, first_chunk=c, stop_chunk=c + 1,
+            initial_counts=None if hist is None else hist.counts,
+        )
+        assert hist.total == min(samples, (c + 1) * CHUNK_SIZE)
+    assert np.array_equal(hist.counts, whole.counts) and hist.total == whole.total == samples
+
+
 def test_histogram_determinism():
     a = sample_fitness_histogram(6, 5, 60_000, seed=1, target=TARGET)
     b = sample_fitness_histogram(6, 5, 60_000, seed=1, target=TARGET)

@@ -668,6 +668,40 @@ def test_koza_effort_minimizes_over_generations():
     assert koza_effort(runs, population=500) == 15_500
 
 
+def _koza_effort_every_generation(runs, population, z):
+    """Reference: I(M, i, z) evaluated at every generation up to the
+    longest run, the minimum kept."""
+    max_fit = max(max(r.best_fitness_per_generation) for r in runs)
+    solve_gens = [r.solve_generation(max_fit) if r.solved else None for r in runs]
+    best = None
+    for i in range(max(len(r.best_fitness_per_generation) for r in runs)):
+        p = sum(1 for g in solve_gens if g is not None and g <= i) / len(runs)
+        if p == 0:
+            continue
+        r_needed = 1 if p >= 1 else math.ceil(math.log(1 - z) / math.log(1 - p))
+        effort = population * (i + 1) * max(1, r_needed)
+        if best is None or effort < best:
+            best = effort
+    return best
+
+
+@pytest.mark.parametrize("z", [0.5, 0.9, 0.99])
+def test_koza_effort_matches_every_generation_reference(z):
+    """Trying only solve generations gives the all-generations minimum, on
+    record sets with tied solve generations and unsolved runs of any length."""
+    rng = np.random.default_rng(2022)
+    for _ in range(1000):
+        n_runs = int(rng.integers(1, 13))
+        gens = rng.integers(0, 8, size=n_runs)  # few values, so ties are common
+        solved = rng.random(n_runs) < rng.random()
+        solved[rng.integers(0, n_runs)] = True
+        runs = [make_record(int(g) if s else None, total_gens=int(t))
+                for g, s, t in zip(gens, solved, rng.integers(8, 16, size=n_runs))]
+        population = int(rng.integers(1, 600))
+        assert koza_effort(runs, population, z) == _koza_effort_every_generation(
+            runs, population, z)
+
+
 def test_coupon_collector_expected():
     assert coupon_collector_expected(1) == 1.0
     assert math.ceil(coupon_collector_expected(600)) == 4185
