@@ -5,7 +5,7 @@ Subcommands
 sample     fitness histograms of uniform random circuits (CSV)
 converge   per-length mean/sd/TVD against the limiting law (CSV)
 density    perfect-solution counts with exact Poisson intervals (CSV)
-minscan    exhaustive solution counts for all short circuits (CSV)
+minscan    exhaustive counts of solving (circuit, output wire) pairs (CSV)
 hillclimb  mutation hill-climber runs (JSON-lines log + solution circuits)
 ga         generational GA runs (JSON-lines log + solution circuits)
 target     print the six-multiplexor truth table
@@ -566,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--checkpoint", help="checkpoint file for resumable runs")
             p.add_argument("--keep-zeros", action="store_true", help="emit zero-count rows")
 
-    p = sub.add_parser("minscan", help="exhaustive solution counts for short circuits")
+    p = sub.add_parser("minscan", help="exhaustive solving (circuit, output wire) pair counts")
     _add_bus_flags(p)
     p.add_argument("--no-prune", action="store_true", help="count reducible circuits too")
     p.set_defaults(func=_cmd_minscan)

@@ -22,7 +22,6 @@ __all__ = [
     "Gate",
     "Circuit",
     "TruthTableTrace",
-    "BusPermutation",
     "enumerate_gates",
     "evaluate",
     "to_permutation",
@@ -137,54 +136,22 @@ class TruthTableTrace:
     case_count: int
 
 
-@dataclass(frozen=True)
-class BusPermutation:
-    """The permutation of 2^N bus states a circuit denotes."""
-
-    mapping: np.ndarray  # mapping[s] = image of state s
-
-    def __post_init__(self):
-        m = np.asarray(self.mapping, dtype=np.int64)
-        object.__setattr__(self, "mapping", m)
-        assert m.ndim == 1
-
-    @property
-    def size(self) -> int:
-        return len(self.mapping)
-
-    def is_bijection(self) -> bool:
-        return bool(np.array_equal(np.sort(self.mapping), np.arange(self.size)))
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.mapping, np.arange(self.size)))
-
-    def compose(self, then: "BusPermutation") -> "BusPermutation":
-        """The permutation 'apply self, then apply `then`'."""
-        if then.size != self.size:
-            raise ValueError("permutation sizes differ")
-        return BusPermutation(then.mapping[self.mapping])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BusPermutation) and np.array_equal(
-            self.mapping, other.mapping
-        )
-
-
 def enumerate_gates(wires: int) -> list[Gate]:
-    """All distinct canonical CCNOT gates on `wires` wires.
+    """All distinct canonical CCNOT gates on `wires` wires, as a fresh list.
 
     Count is wires * ((wires-1)(wires-2)/2 + (wires-1)): for each target,
     unordered control pairs (shared wire allowed) drawn from the rest.
     """
+    return list(_gates(wires))
+
+
+@cache
+def _gates(wires: int) -> tuple[Gate, ...]:
+    """enumerate_gates(wires), built once per width; gate code i is entry i."""
     if wires < 3:
         raise ValueError(f"no legal CCNOT exists on {wires} wires (need >= 3)")
-    gates = []
-    for target in range(wires):
-        others = [w for w in range(wires) if w != target]
-        for i, a in enumerate(others):
-            for b in others[i:]:
-                gates.append(Gate(target, a, b))
-    return gates
+    return tuple(Gate(t, a, b) for t in range(wires) for a in range(wires)
+                 for b in range(a, wires) if t not in (a, b))
 
 
 # Gate codes per index block of the batch kernels: a block's intp codes and
@@ -199,7 +166,7 @@ EVALUATE_INDEX_BLOCK = 1 << 14
 def gate_arrays(wires: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(targets, controls_a, controls_b) of enumerate_gates as intp arrays,
     indexed by gate code (the position in enumerate_gates)."""
-    fields = [(g.target, g.control_a, g.control_b) for g in enumerate_gates(wires)]
+    fields = [(g.target, g.control_a, g.control_b) for g in _gates(wires)]
     tables = np.array(fields, dtype=np.intp).T.copy()
     tables.flags.writeable = False  # cached: every caller shares them
     return tuple(tables)
@@ -356,8 +323,9 @@ def evaluate(circuit: Circuit) -> TruthTableTrace:
     return TruthTableTrace(rows, 1 << circuit.n_inputs)
 
 
-def to_permutation(circuit: Circuit) -> BusPermutation:
-    """The exact permutation of full bus states (wire 0 = LSB of the state).
+def to_permutation(circuit: Circuit) -> np.ndarray:
+    """The exact permutation of full bus states (wire 0 = LSB of the state),
+    as its int64 image array: element s is the image of state s.
 
     Evaluates all 2^N states in one vectorized pass per gate.
     """
@@ -370,7 +338,7 @@ def to_permutation(circuit: Circuit) -> BusPermutation:
     for g in circuit.gates:
         both = ((states >> g.control_a) & (states >> g.control_b)) & 1
         states = states ^ (both << g.target)
-    return BusPermutation(states)
+    return states
 
 
 def random_circuit(
@@ -385,14 +353,15 @@ def random_circuit(
     enumerate_gates(wires)."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    gates = enumerate_gates(wires)
+    gates = _gates(wires)
     idx = rng.integers(0, len(gates), size=length)
     return Circuit(wires, [gates[i] for i in idx], n_inputs, constant_fill=constant_fill)
 
 
 # Circuit text format, one circuit per line:
 #   N:<wires> n:<inputs> fill:<0|1> ; T(a,b)>t T(a,b)>t ...
-_HEADER_RE = re.compile(r"N:(\d+)\s+n:(\d+)\s+fill:([01])\s*(?:;|$)")
+_HEADER_RE = re.compile(r"\s*N:(\d+)\s+n:(\d+)\s+fill:([01])\s*(?:;|$)")
+_TOKEN_RE = re.compile(r"\S+")
 _GATE_RE = re.compile(r"T\((\d+),(\d+)\)>(\d+)")
 
 
@@ -406,34 +375,25 @@ def format_circuit(circuit: Circuit) -> str:
 
 def parse_circuit(line: str, line_number: int = 1) -> Circuit:
     """Parse one circuit line; errors carry line/column positions."""
-    m = _HEADER_RE.match(line.strip())
+    m = _HEADER_RE.match(line)
     if not m:
         raise ValueError(
             f"line {line_number}: expected header 'N:<wires> n:<inputs> fill:<0|1> ;'"
         )
-    wires, n_inputs, fill = int(m.group(1)), int(m.group(2)), int(m.group(3))
-    rest = line.strip()[m.end():]
+    wires, n_inputs, fill = map(int, m.groups())
     gates = []
-    pos = 0
-    for token in rest.split():
-        col = line.find(token, pos) + 1
-        pos = line.find(token, pos) + len(token)
+    for tm in _TOKEN_RE.finditer(line, m.end()):
+        token, where = tm.group(), f"line {line_number}, column {tm.start() + 1}"
         gm = _GATE_RE.fullmatch(token)
         if not gm:
-            raise ValueError(
-                f"line {line_number}, column {col}: bad gate token {token!r}, "
-                f"expected 'T(a,b)>t'"
-            )
-        a, b, t = int(gm.group(1)), int(gm.group(2)), int(gm.group(3))
+            raise ValueError(f"{where}: bad gate token {token!r}, expected 'T(a,b)>t'")
+        a, b, t = map(int, gm.groups())
         try:
             gate = Gate(t, a, b)
         except ValueError as e:
-            raise ValueError(f"line {line_number}, column {col}: {e}") from None
+            raise ValueError(f"{where}: {e}") from None
         if gate.max_wire() >= wires:
-            raise ValueError(
-                f"line {line_number}, column {col}: gate {token} references a wire "
-                f">= wire count {wires}"
-            )
+            raise ValueError(f"{where}: gate {token} references a wire >= wire count {wires}")
         gates.append(gate)
     try:
         return Circuit(wires, gates, n_inputs, constant_fill=fill)

@@ -220,13 +220,13 @@ def sample_distribution(
     The checkpoint file is one JSON object keyed per length by everything
     that length's counts depend on; entries under other keys are kept.
     """
+    n_chunks = (config.samples_per_length + CHUNK_SIZE - 1) // CHUNK_SIZE
     store = {}
     if checkpoint_path is not None:
         checkpoint_path = Path(checkpoint_path)
         checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
         if checkpoint_path.exists():
-            store = json.loads(checkpoint_path.read_text())
-    n_chunks = (config.samples_per_length + CHUNK_SIZE - 1) // CHUNK_SIZE
+            store = _read_checkpoint(checkpoint_path, config, n_chunks)
     block = (
         n_chunks if checkpoint_path is None
         else max(config.workers, checkpoint_every // CHUNK_SIZE)
@@ -263,6 +263,29 @@ def sample_distribution(
                     tmp.replace(checkpoint_path)
             results.append(FitnessHistogram(length, counts, int(counts.sum())))
     return results
+
+
+def _read_checkpoint(path: Path, config: ExperimentConfig, n_chunks: int) -> dict:
+    """The checkpoint store at `path`.  Each entry of this run's lengths must
+    be one the run could have written, or a ValueError names the file and key."""
+    store = json.loads(path.read_text())
+    if not isinstance(store, dict):
+        raise ValueError(f"checkpoint {path}: expected a JSON object keyed per length")
+    size = config.target.max_fitness + 1
+    for key in filter(store.__contains__, map(partial(_length_key, config), config.lengths)):
+        where = f"checkpoint {path}, key {key!r}"
+        if not (isinstance(store[key], list) and len(store[key]) == 2):
+            raise ValueError(f"{where}: expected [chunks done, counts]")
+        done, counts = store[key]
+        if type(done) is not int or not 0 <= done <= n_chunks:
+            raise ValueError(f"{where}: chunks done {done!r} is not an int in 0..{n_chunks}")
+        if not (isinstance(counts, list) and len(counts) == size
+                and all(type(c) is int and c >= 0 for c in counts)):
+            raise ValueError(f"{where}: counts are not {size} non-negative ints")
+        want = min(done * CHUNK_SIZE, config.samples_per_length)
+        if sum(counts) != want:
+            raise ValueError(f"{where}: counts sum to {sum(counts)}, not {want}")
+    return store
 
 
 def _length_key(config: ExperimentConfig, length: int) -> str:
@@ -350,15 +373,16 @@ def exhaustive_min_scan(
     constant_fill: int = 1,
     prune: bool = True,
 ) -> dict[int, int]:
-    """Exact solution counts for every circuit of length 1..max_length.
+    """Exact counts of (circuit, output wire) pairs reproducing the target,
+    for every circuit length 1..max_length.
 
     Every gate sequence is enumerated level by level (each level extends the
     previous one's bus states by every gate, in blocks of at most
     SCAN_BLOCK_WORDS words per level, so memory does not grow with the
-    sequence count) and every wire is tried as the output, so the result is
-    the number of (circuit, output wire) pairs reproducing the target
-    exactly; a circuit can match on at most one wire, so this equals the
-    solving-circuit count.
+    sequence count) and every wire is tried as the output.  With spare wires
+    a circuit can carry the target on two wires and counts once per wire.
+    With every wire an input, each pair is one solving circuit: a bijection
+    of bus states cannot carry one row on two wires.
 
     With `prune`, sequences containing an adjacent identical gate pair are
     skipped: such a pair cancels (the gate is self-inverse), so the circuit

@@ -307,7 +307,7 @@ def gate_transition_matrix(wires: int) -> TransitionMatrix:
     matrix = np.zeros((size, size))
     w = 1.0 / len(gates)
     for g in gates:
-        matrix[states, to_permutation(Circuit(wires, [g])).mapping] += w
+        matrix[states, to_permutation(Circuit(wires, [g]))] += w
     return TransitionMatrix(matrix, states)
 
 

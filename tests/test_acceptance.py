@@ -274,13 +274,14 @@ def test_criterion_12_structure_properties_hold(target):
         wires = int(rng.integers(3, 5))
         circuit = random_circuit(wires, int(rng.integers(1, 12)), rng)
         perm = to_permutation(circuit)
-        assert perm.is_bijection()
-        assert to_permutation(circuit.concat(circuit.reversed())).is_identity()
+        states = np.arange(1 << wires)
+        assert np.array_equal(np.sort(perm), states)
+        assert np.array_equal(to_permutation(circuit.concat(circuit.reversed())), states)
         trace = evaluate(circuit)
         for w in range(wires):
             for case in range(1 << wires):
                 assert (trace.wire_rows[w] >> case) & 1 == (
-                    int(perm.mapping[case]) >> w
+                    int(perm[case]) >> w
                 ) & 1
     # Mutation changes exactly one gate and stays legal.
     for _ in range(300):

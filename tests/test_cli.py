@@ -232,6 +232,7 @@ def test_search_rejects_output_wire_outside_the_bus(capsys, command):
     (["--output-wire", "best"], "--compare-random needs a fixed output wire"),
     (["--samples", "0"], "samples_per_length must be >= 1"),
     (["--workers", "0"], "workers must be >= 1"),
+    (["--output-wire", "foo"], "--output-wire expects a wire index or 'best', got 'foo'"),
 ])
 def test_compare_random_is_checked_before_any_run(tmp_path, capsys, flags, message):
     rc = main([
@@ -466,6 +467,9 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
     rc = main(["sample", "--wires", "6", "--lengths", "bad", "--samples", "10",
                "--workers", "1"])
     assert rc == 1
+    capsys.readouterr()
+    assert main(["sample", "--wires", "6", "--lengths", ","]) == 1
+    assert capsys.readouterr().err == "revcirc: error: --lengths must name at least one length\n"
     rc = main(["sample", "--wires", "6", "--lengths", "3", "--samples", "10",
                "--workers", "0"])
     assert rc == 1
@@ -501,6 +505,33 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
     assert main(sample + ["--workers", "1", "--out", str(tmp_path / "serial.csv")]) == 0
     serial = (tmp_path / "serial.csv").read_bytes()
     assert (tmp_path / "parallel.csv").read_bytes() == serial
+
+
+@pytest.mark.parametrize("samples,entry", [
+    (70_000, [1, [0] * 65]),  # one chunk done, yet no sample counted
+    (100, [1, [100]]),  # one count where the six-multiplexor has 65
+    (100, [0, [0]]),
+    (100, [2, [0] * 64 + [100]]),  # two chunks done of a one-chunk run
+    (100, [1]),
+    (100, None),  # the file holds [], not an object
+], ids=["short-sum", "one-count", "done0-one-count", "done-past-end", "not-a-pair",
+        "not-an-object"])
+def test_bad_checkpoint_is_a_cli_error(tmp_path, capsys, samples, entry):
+    """A checkpoint entry this run could not have written is refused before
+    any sampling: exit 1, the file (and key) named, and no CSV written."""
+    ck = tmp_path / "c.json"
+    cmd = ["sample", "--wires", "6", "--lengths", "3", "--workers", "1", "--seed", "0",
+           "--samples", str(samples), "--checkpoint", str(ck)]
+    assert main(cmd) == 0
+    (key,) = json.loads(ck.read_text())
+    ck.write_text(json.dumps([] if entry is None else {key: entry}))
+    capsys.readouterr()
+    out = tmp_path / "x.csv"
+    assert main(cmd + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"revcirc: error: checkpoint {ck}")
+    assert (key in err) == (entry is not None)
+    assert not out.exists()
 
 
 def test_checkpoint_directory_is_made(tmp_path):

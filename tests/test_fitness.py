@@ -215,6 +215,8 @@ def test_target_table_text_round_trip():
 
 
 def test_target_table_text_validation():
+    with pytest.raises(ValueError, match="empty target table"):
+        TargetTable.from_text("")
     with pytest.raises(ValueError):
         TargetTable.from_text("not a header\n")
     with pytest.raises(ValueError):

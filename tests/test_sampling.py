@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from revcirc import sampling
+from revcirc.cli import build_parser
 from revcirc.core import Circuit, enumerate_gates, evaluate
 from revcirc.fitness import (
     DEFAULT_OUTPUT,
@@ -30,7 +31,7 @@ from revcirc.sampling import (
     sample_fitness_histogram,
     solution_density,
 )
-from revcirc.theory import binomial_limit, total_variation_distance
+from revcirc.theory import binomial_limit, limit_for, total_variation_distance
 
 TARGET = six_multiplexor_target()
 D0_PASSTHROUGH = TargetTable(6, 1, (sum(1 << t for t in range(64) if t & 1),))
@@ -424,6 +425,14 @@ def test_solution_density_against_exact_rate():
     assert rate == pytest.approx(75 / 90, abs=0.01)
 
 
+def test_solution_density_needs_one_output():
+    pair = TargetTable.from_function(6, 2, lambda t: t & 3)
+    cfg = ExperimentConfig(wires=6, lengths=(1,), samples_per_length=10, target=pair,
+                           outputs=OutputMap((0, 1)))
+    with pytest.raises(ValueError, match="single-output targets"):
+        solution_density(cfg)
+
+
 def test_poisson_interval_reference_values():
     lo, hi = poisson_interval(0)
     assert lo == 0.0
@@ -448,6 +457,15 @@ def test_poisson_interval_is_bit_identical_to_chi2_formula():
         got = np.array([poisson_interval(int(c), confidence) for c in counts])
         assert np.array_equal(got[:, 0], lo), confidence
         assert np.array_equal(got[:, 1], hi), confidence
+
+
+def test_convergence_series_rows_and_tvds():
+    hists = [sample_fitness_histogram(6, L, 1000, seed=1, target=TARGET) for L in (5, 20)]
+    limit = limit_for(6, TARGET)
+    series = convergence_series(hists, limit)
+    assert [r[0] for r in series.rows] == [5, 20]
+    assert series.tvds() == [total_variation_distance(h.distribution(), limit.pmf)
+                             for h in hists]
 
 
 def test_convergence_series_checks_support():
@@ -499,6 +517,25 @@ def test_min_scan_matches_brute_force_on_four_wires(prune, fill):
     fast = exhaustive_min_scan(4, 3, target, constant_fill=fill, prune=prune)
     assert fast == brute_force_scan(4, 3, target, prune, fill)
     assert fast[3] > 0
+
+
+def test_min_scan_counts_circuit_wire_pairs():
+    """With a spare wire a circuit can carry the target on two wires, and the
+    scan counts each (circuit, output wire) pair, as `revcirc --help` says.
+    On 4 wires, the 3-input target `x & 1` at fill 0 is solved by 21 and 434
+    circuits of lengths 1 and 2, in 22 and 461 pairs."""
+    target = TargetTable.from_function(3, 1, lambda t: t & 1)
+    gates = enumerate_gates(4)
+    circuits, pairs = {}, {}
+    for length in (1, 2):
+        traces = (evaluate(Circuit(4, seq, 3, constant_fill=0))
+                  for seq in itertools.product(gates, repeat=length))
+        hits = [trace.wire_rows.count(target.rows[0]) for trace in traces]
+        circuits[length], pairs[length] = sum(h > 0 for h in hits), sum(hits)
+    assert circuits == {1: 21, 2: 434}
+    assert exhaustive_min_scan(4, 2, target, constant_fill=0, prune=False) == pairs
+    assert pairs == {1: 22, 2: 461}
+    assert "(circuit, output wire) pair" in " ".join(build_parser().format_help().split())
 
 
 def test_min_scan_prune_is_sound_for_minimality():

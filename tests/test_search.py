@@ -382,6 +382,7 @@ def test_hill_climb_trajectory_reads_as_the_list_it_stands_for(
     assert len(view) == rec.evaluations == len(want)
     assert view == want and want == view and view == tuple(want)
     assert view != want[:-1] and view != want[:-1] + [want[-1] + 1]
+    assert view.__eq__(5) is NotImplemented and (view == 5) is False
     assert repr(view) == repr(want)
     assert max(view) == max(want)
     assert view[0] == want[0] and view[-1] == want[-1]

@@ -244,6 +244,8 @@ def test_total_variation_distance_basics():
         total_variation_distance([0.5, 0.4], [1.0, 0.0])  # does not sum to 1
     with pytest.raises(ValueError):
         total_variation_distance([1.5, -0.5], [0.5, 0.5])  # negative mass
+    with pytest.raises(ValueError, match=r"support mismatch: \(2,\) vs \(3,\)"):
+        total_variation_distance([0.5, 0.5], [0.5, 0.25, 0.25])
 
 
 def test_limit_model_metadata():
