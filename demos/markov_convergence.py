@@ -15,31 +15,32 @@ to the 2^wires − 1 remaining states the chain converges geometrically.
 
 import numpy as np
 
-from revcirc import gate_transition_matrix
+from revcirc import gate_transition_matrix, is_doubly_stochastic, row_tvds_to_uniform
 
 
 def main() -> None:
     for wires in (3, 4):
         chain = gate_transition_matrix(wires)
-        print(f"\n{wires} wires: {chain.size} states")
-        print(f"  row sums    : {chain.row_sums().min():.12f} .. {chain.row_sums().max():.12f}")
-        print(f"  column sums : {chain.col_sums().min():.12f} .. {chain.col_sums().max():.12f}")
-        print(f"  doubly stochastic within 1e-12: {chain.is_doubly_stochastic(tol=1e-12)}")
-        uniform = np.full(chain.size, 1.0 / chain.size)
-        drift = np.abs(uniform @ chain.matrix - uniform).max()
+        rows, cols = chain.sum(axis=1), chain.sum(axis=0)
+        print(f"\n{wires} wires: {len(chain)} states")
+        print(f"  row sums    : {rows.min():.12f} .. {rows.max():.12f}")
+        print(f"  column sums : {cols.min():.12f} .. {cols.max():.12f}")
+        print(f"  doubly stochastic within 1e-12: {is_doubly_stochastic(chain, tol=1e-12)}")
+        uniform = np.full(len(chain), 1.0 / len(chain))
+        drift = np.abs(uniform @ chain - uniform).max()
         print(f"  uniform stationary drift: {drift:.3e}")
 
     chain = gate_transition_matrix(3)
     print("\n3-wire transition matrix (rows = from-state):")
     with np.printoptions(precision=3, suppress=True):
-        print(chain.matrix)
+        print(chain)
     print("\nState 0 is absorbing: every gate fixes the all-zero bus.")
 
-    restricted = gate_transition_matrix(3).restricted_to_nonzero()
-    print(f"\nRestricted to the {restricted.size} nonzero states, worst-row TVD to uniform:")
+    restricted = chain[1:, 1:]
+    print(f"\nRestricted to the {len(restricted)} nonzero states, worst-row TVD to uniform:")
     print(f"{'steps':>6} {'max TVD':>12}")
     for steps in (1, 2, 4, 8, 16, 32, 64, 66, 128):
-        worst = restricted.row_tvds_to_uniform(steps).max()
+        worst = row_tvds_to_uniform(restricted, steps).max()
         print(f"{steps:>6} {worst:>12.3e}")
     print(
         "\nThe decay is geometric; 64 steps land at 1.24e-6, just above a\n"

@@ -8,8 +8,9 @@ so such a pair cancels and the circuit reduces to a shorter one.
 Results this script demonstrates or verifies:
 
 * lengths 1..4 (66 million circuits): zero solutions — scanned live here.
-* length 5 (5.9 billion circuits): zero solutions — scanned offline once
-  (about an hour); nothing to verify, there are no circuits to show.
+* length 5 (5.9 billion circuits): zero solutions — not scanned here, to
+  keep this script fast, but `revcirc minscan --wires 6 --lengths 5` scans
+  them live in about 45 s; there are no circuits to show.
 * length 6 (531 billion circuits): exactly 216 solutions, all reading out
   on wire 0 — scanned offline once; the full list ships in
   demos/data/six_gate_mux_solutions.txt and is re-verified here case by

@@ -46,6 +46,9 @@ class TargetTable:
     rows: tuple[int, ...]
 
     def __post_init__(self):
+        if self.n_inputs < 0 or self.m_outputs < 1:
+            raise ValueError(f"need n_inputs >= 0 and m_outputs >= 1, got "
+                             f"n_inputs={self.n_inputs}, m_outputs={self.m_outputs}")
         rows = tuple(int(r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
         if len(rows) != self.m_outputs:
@@ -96,10 +99,10 @@ class TargetTable:
             n, m = (int(x) for x in lines[0].split())
         except ValueError:
             raise ValueError("target table header must be 'n m'") from None
-        cases = 1 << n
+        rows = [0] * m
+        cases = cls(n, m, rows).case_count  # refuses n < 0 and m < 1
         if len(lines) - 1 != cases:
             raise ValueError(f"expected {cases} case lines, got {len(lines) - 1}")
-        rows = [0] * m
         for t, ln in enumerate(lines[1:]):
             bits = ln.split()
             if len(bits) != m:

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 15
-ENUMERATION_GUARD = 10**8
+ENUMERATION_GUARD = 10**10
 # Bus words a scan level holds at once (1 MiB; fastest of 2^14-2^20, BENCH_sampler.json).
 SCAN_BLOCK_WORDS = 1 << 17
 # Bytes of gate codes a chunk draws and scores at once (2 MiB), and the
@@ -75,7 +75,10 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.outputs == "best":
             raise ValueError("the sampler needs a fixed output map, not best-wire scoring")
-        # the sampler's gate table and Scorer check the bus before any chunk or checkpoint
+        # the gate count W^2 (W - 1) / 2, the gate table and the Scorer check the
+        # bus before any chunk or checkpoint
+        if self.wires ** 2 * (self.wires - 1) // 2 > 1 << 16:
+            raise ValueError(f"uint16 gate codes fit buses of at most 51 wires, got {self.wires}")
         gate_arrays(self.wires)
         Scorer(self.wires, self.target.n_inputs, self.constant_fill, self.target,
                self.outputs).check_one_word()
@@ -268,7 +271,10 @@ def sample_distribution(
 def _read_checkpoint(path: Path, config: ExperimentConfig, n_chunks: int) -> dict:
     """The checkpoint store at `path`.  Each entry of this run's lengths must
     be one the run could have written, or a ValueError names the file and key."""
-    store = json.loads(path.read_text())
+    try:
+        store = json.loads(path.read_text())
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ValueError(f"checkpoint {path}: {e}") from None
     if not isinstance(store, dict):
         raise ValueError(f"checkpoint {path}: expected a JSON object keyed per length")
     size = config.target.max_fitness + 1

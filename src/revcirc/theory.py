@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circuit, enumerate_gates, to_permutation
+from .core import gate_arrays
 from .fitness import TargetTable
 
 __all__ = [
     "LimitModel",
-    "TransitionMatrix",
     "binomial_limit",
     "parity_shifted_limit",
     "limit_for",
@@ -28,6 +27,8 @@ __all__ = [
     "normalized_limit",
     "rms_limit",
     "gate_transition_matrix",
+    "is_doubly_stochastic",
+    "row_tvds_to_uniform",
     "total_variation_distance",
 ]
 
@@ -240,75 +241,42 @@ def rms_limit(m: int, regime: str) -> tuple[float, float]:
     raise ValueError(f"unknown RMS regime {regime!r} (use 'small-T' or 'exhaustive-uniform')")
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """One-gate Markov transition matrix on bus states.
-
-    entry[s, s'] is the probability a uniformly drawn gate maps state s to
-    s'.  Each gate is a permutation of bus states, so the average is doubly
-    stochastic and the uniform distribution is stationary.
-    """
-
-    matrix: np.ndarray
-    states: np.ndarray  # bus-state labels for each row/column
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    def row_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
-
-    def col_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
-
-    def is_doubly_stochastic(self, tol: float = 1e-12) -> bool:
-        return bool(
-            np.all(np.abs(self.row_sums() - 1) <= tol)
-            and np.all(np.abs(self.col_sums() - 1) <= tol)
-            and np.all(self.matrix >= -tol)
-        )
-
-    def power(self, k: int) -> np.ndarray:
-        return np.linalg.matrix_power(self.matrix, k)
-
-    def restricted_to_nonzero(self) -> "TransitionMatrix":
-        """The chain on nonzero bus states.
-
-        The all-zero state is fixed by every gate (documented in
-        parity_shifted_limit), so the full chain is reducible and its zero
-        row never mixes.  Dropping state 0 leaves a closed, doubly
-        stochastic chain on the 2^N - 1 reachable-from-anywhere states; this
-        is the chain whose powers converge to uniform.
-        """
-        keep = self.states != 0
-        return TransitionMatrix(self.matrix[np.ix_(keep, keep)], self.states[keep])
-
-    def row_tvds_to_uniform(self, k: int) -> np.ndarray:
-        """TVD of every row of matrix^k to the uniform distribution."""
-        p = self.power(k)
-        return 0.5 * np.abs(p - 1.0 / self.size).sum(axis=1)
-
-
 # gate_transition_matrix materializes 2^N x 2^N entries.
 TRANSITION_WIRE_GUARD = 4
 
 
-def gate_transition_matrix(wires: int) -> TransitionMatrix:
-    """Average of the per-gate permutation matrices on all 2^N bus states."""
+def gate_transition_matrix(wires: int) -> np.ndarray:
+    """The one-gate Markov chain on bus states: entry [s, s'] is the chance
+    that a uniformly drawn gate maps state s to s'.  Every gate permutes the
+    states, so the matrix is doubly stochastic.  Every gate also fixes state
+    0 (parity_shifted_limit), so row 0 never mixes; `matrix[1:, 1:]` is the
+    closed chain on the nonzero states, whose powers tend to uniform."""
     if wires > TRANSITION_WIRE_GUARD:
         raise ValueError(
             f"wires={wires} exceeds the transition-matrix guard "
             f"({TRANSITION_WIRE_GUARD}); the state space doubles per wire"
         )
-    gates = enumerate_gates(wires)
-    size = 1 << wires
-    states = np.arange(size, dtype=np.int64)
-    matrix = np.zeros((size, size))
-    w = 1.0 / len(gates)
-    for g in gates:
-        matrix[states, to_permutation(Circuit(wires, [g]))] += w
-    return TransitionMatrix(matrix, states)
+    tg, ca, cb = gate_arrays(wires)
+    s = np.arange(1 << wires)
+    images = s ^ (((s >> ca[:, None]) & (s >> cb[:, None]) & 1) << tg[:, None])
+    matrix = np.zeros((len(s), len(s)))
+    # adds gate by gate, in code order, as a loop over the gates would
+    np.add.at(matrix, (np.broadcast_to(s, images.shape), images), 1 / len(tg))
+    return matrix
+
+
+def is_doubly_stochastic(matrix: np.ndarray, tol: float = 1e-12) -> bool:
+    """Rows and columns sum to 1 within `tol`, and no entry is below -tol."""
+    return bool(
+        np.all(np.abs(matrix.sum(axis=1) - 1) <= tol)
+        and np.all(np.abs(matrix.sum(axis=0) - 1) <= tol)
+        and np.all(matrix >= -tol)
+    )
+
+
+def row_tvds_to_uniform(matrix: np.ndarray, steps: int) -> np.ndarray:
+    """TVD of every row of matrix^steps to the uniform distribution."""
+    return 0.5 * np.abs(np.linalg.matrix_power(matrix, steps) - 1 / len(matrix)).sum(axis=1)
 
 
 def total_variation_distance(p, q) -> float:

@@ -514,23 +514,30 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
     (100, [2, [0] * 64 + [100]]),  # two chunks done of a one-chunk run
     (100, [1]),
     (100, None),  # the file holds [], not an object
+    (100, b"{not json"),  # the file's own bytes
+    (100, b""),
+    (100, b"\xff"),
 ], ids=["short-sum", "one-count", "done0-one-count", "done-past-end", "not-a-pair",
-        "not-an-object"])
+        "not-an-object", "not-json", "empty", "not-utf8"])
 def test_bad_checkpoint_is_a_cli_error(tmp_path, capsys, samples, entry):
-    """A checkpoint entry this run could not have written is refused before
-    any sampling: exit 1, the file (and key) named, and no CSV written."""
+    """A checkpoint entry this run could not have written, or a file that is
+    not UTF-8 JSON, is refused before any sampling: exit 1, the file (and key)
+    named, and no CSV written."""
     ck = tmp_path / "c.json"
     cmd = ["sample", "--wires", "6", "--lengths", "3", "--workers", "1", "--seed", "0",
            "--samples", str(samples), "--checkpoint", str(ck)]
     assert main(cmd) == 0
     (key,) = json.loads(ck.read_text())
-    ck.write_text(json.dumps([] if entry is None else {key: entry}))
+    if isinstance(entry, bytes):
+        ck.write_bytes(entry)
+    else:
+        ck.write_text(json.dumps([] if entry is None else {key: entry}))
     capsys.readouterr()
     out = tmp_path / "x.csv"
     assert main(cmd + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"revcirc: error: checkpoint {ck}")
-    assert (key in err) == (entry is not None)
+    assert (key in err) == isinstance(entry, list)
     assert not out.exists()
 
 
@@ -548,9 +555,13 @@ def test_checkpoint_directory_is_made(tmp_path):
 
 def test_refused_sample_leaves_no_checkpoint_directory(tmp_path, capsys):
     """An output wire off the bus, or a two-output target read from one
-    wire, is refused by the sampler's `Scorer`, and a bus with no legal gate
-    by its gate table, when the configuration is built, before the
-    checkpoint's directory is made."""
+    wire, is refused by the sampler's `Scorer`, a bus with no legal gate by
+    its gate table, and a bus whose gate codes overflow uint16 by its gate
+    count, when the configuration is built, and a target header with n < 0
+    inputs when the target is read; all before the checkpoint's directory is
+    made."""
+    negative = tmp_path / "neg.txt"
+    negative.write_text("-1 1\n0\n")
     two_out = tmp_path / "two.txt"
     two_out.write_text(TargetTable.from_function(6, 2, lambda t: t & 3).to_text())
     two_in = tmp_path / "t2.txt"
@@ -559,7 +570,9 @@ def test_refused_sample_leaves_no_checkpoint_directory(tmp_path, capsys):
     cmd = ["sample", "--lengths", "5", "--samples", "10", "--workers", "1"]
     for flags, message in ((["--wires", "6", "--output-wire", "9"], "outside the bus"),
                            (["--wires", "6", "--target", str(two_out)], "arity"),
-                           (["--wires", "2", "--target", str(two_in)], "no legal CCNOT")):
+                           (["--wires", "2", "--target", str(two_in)], "no legal CCNOT"),
+                           (["--wires", "52"], "at most 51 wires"),
+                           (["--wires", "6", "--target", str(negative)], "n_inputs=-1")):
         assert main(cmd + flags + ck) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "d").exists()

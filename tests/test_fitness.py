@@ -225,6 +225,10 @@ def test_target_table_text_validation():
         TargetTable.from_text("2 1\n0\n1\nx\n0\n")
     with pytest.raises(ValueError):
         TargetTable.from_text("2 2\n00\n01\n1\n11\n")  # short bit row
+    with pytest.raises(ValueError, match="n_inputs=-1"):
+        TargetTable.from_text("-1 1\n0\n")
+    with pytest.raises(ValueError, match="m_outputs=0"):
+        TargetTable(6, 0, ())  # its fitness would be 0 of 0 cases
 
 
 def test_fitness_value_properties():

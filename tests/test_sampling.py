@@ -557,7 +557,7 @@ def test_min_scan_prune_is_sound_for_minimality():
 
 def test_min_scan_guards():
     with pytest.raises(ValueError):
-        exhaustive_min_scan(6, 5, TARGET)  # 90^5 exceeds the guard
+        exhaustive_min_scan(6, 6, TARGET)  # 90^6 exceeds the guard
     with pytest.raises(ValueError):
         exhaustive_min_scan(6, 0, TARGET)
     two_out = TargetTable.from_function(3, 2, lambda t: t % 4)

@@ -1,5 +1,6 @@
 """Closed-form limit laws, their Monte Carlo oracles, Markov machinery."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,10 +12,12 @@ from revcirc.theory import (
     LimitModel,
     binomial_limit,
     gate_transition_matrix,
+    is_doubly_stochastic,
     limit_for,
     normalized_limit,
     parity_shifted_limit,
     rms_limit,
+    row_tvds_to_uniform,
     total_variation_distance,
 )
 
@@ -191,10 +194,24 @@ def test_limit_model_csv_rows():
 def test_transition_matrix_is_doubly_stochastic():
     for wires in (3, 4):
         tm = gate_transition_matrix(wires)
-        assert tm.size == 1 << wires
-        assert tm.is_doubly_stochastic(tol=1e-12)
-        uniform = np.full(tm.size, 1 / tm.size)
-        assert np.abs(uniform @ tm.matrix - uniform).max() < 1e-12
+        assert tm.shape == (1 << wires, 1 << wires)
+        assert is_doubly_stochastic(tm, tol=1e-12)
+        uniform = np.full(len(tm), 1 / len(tm))
+        assert np.abs(uniform @ tm - uniform).max() < 1e-12
+
+
+# SHA-256 of gate_transition_matrix(wires)'s float64 bytes, recorded from the
+# gate-by-gate build over Circuit permutations that the vectorised one replaced.
+TRANSITION_MATRIX_DIGESTS = {
+    3: "7fe0617f6ab92125493fffd6c4a1e23adaa298d4c3779d9ec5cd6b3588fde557",
+    4: "df42d168184b09fd3103b53c3560f24bc1998a57d3a3d6133e296d11e91fb27b",
+}
+
+
+@pytest.mark.parametrize("wires", sorted(TRANSITION_MATRIX_DIGESTS))
+def test_transition_matrix_is_pinned(wires):
+    digest = hashlib.sha256(gate_transition_matrix(wires).tobytes()).hexdigest()
+    assert digest == TRANSITION_MATRIX_DIGESTS[wires]
 
 
 def test_transition_matrix_guard():
@@ -203,8 +220,7 @@ def test_transition_matrix_guard():
 
 
 def test_transition_matrix_state_zero_is_fixed():
-    tm = gate_transition_matrix(3)
-    row0 = tm.matrix[0]
+    row0 = gate_transition_matrix(3)[0]
     assert row0[0] == pytest.approx(1.0, abs=1e-12)
     assert row0[1:].sum() == 0.0
 
@@ -213,27 +229,26 @@ def test_transition_matrix_all_ones_row():
     # From state 0b111 every gate fires (both controls read 1), flipping its
     # target: three gates target each wire, so the row spreads 1/3 to each
     # of the states with one bit cleared.
-    tm = gate_transition_matrix(3)
-    row = tm.matrix[7]
+    row = gate_transition_matrix(3)[7]
     expected = np.zeros(8)
     expected[[3, 5, 6]] = 1 / 3
     assert np.allclose(row, expected, atol=1e-15)
 
 
 def test_restricted_chain_mixes_to_uniform():
-    tm = gate_transition_matrix(3).restricted_to_nonzero()
-    assert tm.size == 7
-    assert tm.is_doubly_stochastic(tol=1e-12)
-    tvds = [tm.row_tvds_to_uniform(k).max() for k in (1, 4, 16, 64)]
+    tm = gate_transition_matrix(3)[1:, 1:]
+    assert len(tm) == 7
+    assert is_doubly_stochastic(tm, tol=1e-12)
+    tvds = [row_tvds_to_uniform(tm, k).max() for k in (1, 4, 16, 64)]
     assert all(a > b for a, b in zip(tvds, tvds[1:]))
     # Frozen mixing values: k=64 sits just above 1e-6, k=66 just below.
-    assert tm.row_tvds_to_uniform(64).max() == pytest.approx(1.2371e-6, rel=1e-3)
-    assert tm.row_tvds_to_uniform(66).max() < 1e-6
+    assert row_tvds_to_uniform(tm, 64).max() == pytest.approx(1.2371e-6, rel=1e-3)
+    assert row_tvds_to_uniform(tm, 66).max() < 1e-6
 
 
 def test_full_chain_zero_row_never_mixes():
-    tm = gate_transition_matrix(3)
-    assert tm.row_tvds_to_uniform(64)[0] == pytest.approx(1 - 1 / 8, rel=1e-12)
+    tvds = row_tvds_to_uniform(gate_transition_matrix(3), 64)
+    assert tvds[0] == pytest.approx(1 - 1 / 8, rel=1e-12)
 
 
 def test_total_variation_distance_basics():
