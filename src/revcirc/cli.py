@@ -49,10 +49,11 @@ from .sampling import (
     convergence_series,
     exhaustive_min_scan,
     sample_distribution,
-    solution_density,
 )
 from .search import GAConfig, RunRecord, evolve, hill_climb, koza_effort
-from .theory import binomial_limit, limit_for, normalized_limit, parity_shifted_limit, rms_limit
+from .theory import (
+    binomial_limit, limit_for, normalized_limit, parity_shifted_limit, poisson_interval, rms_limit,
+)
 
 _SIX_MUX_LENGTHS = (5, 10, 20, 50, 100, 500)
 # Sampling recipes on the six-multiplexor: id -> (bus widths, lengths,
@@ -140,14 +141,21 @@ def _sampling_rows(kind: str, config: ExperimentConfig, checkpoint=None, keep_ze
     """(header, rows) of one sampling CSV for one bus width.  Kinds: hist
     (counts per fitness), prob (probabilities next to the limit law's),
     series (moments and TVD per length), mean_sd (moments next to the
-    limit's) and density (solution rates with Poisson intervals)."""
-    if kind == "density":
-        return ["length", "count", "rate", "ci_lo", "ci_hi"], solution_density(config)
-    limit = None if kind == "hist" else limit_for(config.wires, config.target, config.constant_fill)
+    limit's) and density (solution rates with exact Poisson 95% intervals).
+    Only prob, series and mean_sd read a limit law."""
+    limit = None
+    if kind in ("prob", "series", "mean_sd"):
+        limit = limit_for(config.wires, config.target, config.constant_fill)
     hists = sample_distribution(config, checkpoint_path=checkpoint)
     if kind == "hist":
         return ["length", "fitness", "count"], [
             (h.length, f, int(c)) for h in hists for f, c in enumerate(h.counts) if c or keep_zeros
+        ]
+    if kind == "density":
+        return ["length", "count", "rate", "ci_lo", "ci_hi"], [
+            (h.length, h.solutions(), h.solutions() / h.total,
+             *(bound / h.total for bound in poisson_interval(h.solutions())))
+            for h in hists
         ]
     if kind == "prob":
         return ["length", "fitness", "probability", "limit_probability"], [

@@ -346,16 +346,14 @@ def random_circuit(
     length: int,
     rng: np.random.Generator,
     n_inputs: int | None = None,
-    *,
-    constant_fill: int = 1,
 ) -> Circuit:
     """A circuit of `length` gates drawn independently and uniformly from
-    enumerate_gates(wires)."""
+    enumerate_gates(wires), its spare wires holding 1."""
     if length < 0:
         raise ValueError("length must be >= 0")
     gates = _gates(wires)
     idx = rng.integers(0, len(gates), size=length)
-    return Circuit(wires, [gates[i] for i in idx], n_inputs, constant_fill=constant_fill)
+    return Circuit(wires, [gates[i] for i in idx], n_inputs)
 
 
 # Circuit text format, one circuit per line:

@@ -25,9 +25,7 @@ __all__ = [
     "Scorer",
     "DEFAULT_OUTPUT",
     "six_multiplexor_target",
-    "hamming_fitness",
     "hamming_fitness_scalar",
-    "best_wire_fitness",
     "rms_error",
 ]
 
@@ -92,26 +90,28 @@ class TargetTable:
 
     @classmethod
     def from_text(cls, text: str) -> "TargetTable":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [ln.split() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty target table")
         try:
-            n, m = (int(x) for x in lines[0].split())
+            n, m = (int(x) for x in lines[0])
         except ValueError:
             raise ValueError("target table header must be 'n m'") from None
-        rows = [0] * m
-        cases = cls(n, m, rows).case_count  # refuses n < 0 and m < 1
-        if len(lines) - 1 != cases:
-            raise ValueError(f"expected {cases} case lines, got {len(lines) - 1}")
-        for t, ln in enumerate(lines[1:]):
-            bits = ln.split()
+        if n < 0 or m < 1:
+            cls(n, m, ())  # raises: the sizes a table accepts are __post_init__'s
+        # n is checked against the case lines, and m against each line's bits,
+        # before 2^n or m sizes anything
+        cases = lines[1:]
+        if n >= len(cases).bit_length() or len(cases) != 1 << n:
+            raise ValueError(f"expected 2^{n} case lines, got {len(cases)}")
+        for t, bits in enumerate(cases):
             if len(bits) != m:
                 raise ValueError(f"case line {t}: expected {m} bits, got {len(bits)}")
-            for j, b in enumerate(bits):
+            for b in bits:
                 if b not in ("0", "1"):
                     raise ValueError(f"case line {t}: bit must be 0 or 1, got {b!r}")
-                rows[j] |= int(b) << t
-        return cls(n, m, rows)
+        # output row j reads column j, case 0 as its lowest bit
+        return cls(n, m, [int("".join(column[::-1]), 2) for column in zip(*cases)])
 
 
 @dataclass(frozen=True)
@@ -137,14 +137,10 @@ DEFAULT_OUTPUT = OutputMap((0,))
 
 @dataclass(frozen=True)
 class FitnessValue:
-    """Raw Hamming matches (0 .. m*2^n) plus the normalized score in [0,1]."""
+    """Raw Hamming matches (0 .. m*2^n) out of `max_raw`."""
 
     raw: int
     max_raw: int
-
-    @property
-    def normalized(self) -> float:
-        return self.raw / self.max_raw
 
     @property
     def solved(self) -> bool:
@@ -167,7 +163,7 @@ WireScoring = OutputMap | Literal["best"]
 
 class Scorer:
     """How final bus rows score against `target`: the one Hamming reduction
-    behind the fitness functions, the sampler, the scan and the search.
+    behind the sampler, the scan and the search.
 
     `scoring` is a fixed OutputMap (wire -1) or "best" (the best single wire,
     ties to the lowest).  The constructor checks the shapes and builds the
@@ -262,22 +258,6 @@ class Scorer:
         return raw, np.full(len(gate_codes), -1, dtype=np.int64)
 
 
-def _score(circuit: Circuit, target: TargetTable, scoring: WireScoring):
-    scorer = Scorer(circuit.wires, circuit.n_inputs, circuit.constant_fill, target, scoring)
-    raw, wire = scorer.score_rows(evaluate(circuit).wire_rows)
-    return FitnessValue(raw, target.max_fitness), wire
-
-
-def hamming_fitness(
-    circuit: Circuit,
-    target: TargetTable,
-    outputs: OutputMap = DEFAULT_OUTPUT,
-) -> FitnessValue:
-    """Bit-parallel Hamming fitness: matches between realized and desired
-    outputs, summed over all cases and output bits."""
-    return _score(circuit, target, outputs)[0]
-
-
 def hamming_fitness_scalar(
     circuit: Circuit,
     target: TargetTable,
@@ -303,17 +283,6 @@ def hamming_fitness_scalar(
         for j, w in enumerate(outputs.wire_of_output):
             raw += ((state >> w) & 1) == ((want >> j) & 1)
     return FitnessValue(raw, target.max_fitness)
-
-
-def best_wire_fitness(
-    circuit: Circuit, target: TargetTable
-) -> tuple[FitnessValue, int]:
-    """Fitness of the best single output wire (m=1 targets only).
-
-    Returns (fitness, wire), ties to the lowest wire.  Complements nothing:
-    a wire carrying the exact complement of the target scores 0, not 2^n.
-    """
-    return _score(circuit, target, "best")
 
 
 def rms_error(

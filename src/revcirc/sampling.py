@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import gate_arrays
 from .fitness import DEFAULT_OUTPUT, OutputMap, Scorer, TargetTable
-from .theory import LimitModel, poisson_interval, total_variation_distance
+from .theory import LimitModel, total_variation_distance
 
 __all__ = [
     "ExperimentConfig",
@@ -33,7 +33,6 @@ __all__ = [
     "sample_distribution",
     "sample_fitness_histogram",
     "convergence_series",
-    "solution_density",
     "exhaustive_min_scan",
 ]
 
@@ -323,22 +322,6 @@ def convergence_series(
         tvd = total_variation_distance(h.distribution(), limit.pmf)
         rows.append((h.length, h.mean(), h.sd(), tvd, h.solutions(), h.total))
     return ConvergenceSeries(rows)
-
-
-def solution_density(
-    config: ExperimentConfig,
-) -> list[tuple[int, int, float, float, float]]:
-    """Per-length perfect-fitness counts with exact Poisson 95% intervals
-    on the rate.  Returns (length, count, rate, rate_lo, rate_hi) rows."""
-    if config.target.m_outputs != 1:
-        raise ValueError("solution density is defined for single-output targets")
-    out = []
-    for hist in sample_distribution(config):
-        k = hist.solutions()
-        lo, hi = poisson_interval(k)
-        n = hist.total
-        out.append((hist.length, k, k / n, lo / n, hi / n))
-    return out
 
 
 def _scan_level(parents, last, depth, max_length, target_row, prune, counts):

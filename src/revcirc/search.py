@@ -42,13 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Circuit, Gate, gate_arrays
-from .fitness import (
-    DEFAULT_OUTPUT,
-    Scorer,
-    TargetTable,
-    WireScoring,
-    six_multiplexor_target,
-)
+from .fitness import DEFAULT_OUTPUT, Scorer, TargetTable, WireScoring
 
 __all__ = [
     "GAConfig",
@@ -58,7 +52,6 @@ __all__ = [
     "hill_climb",
     "evolve",
     "koza_effort",
-    "coupon_collector_expected",
 ]
 
 
@@ -297,7 +290,7 @@ def hill_climb(
     start: Circuit,
     budget: int,
     rng: np.random.Generator,
-    target: TargetTable | None = None,
+    target: TargetTable,
     scoring: WireScoring = DEFAULT_OUTPUT,
     accept_equal: bool = True,
 ) -> RunRecord:
@@ -311,8 +304,6 @@ def hill_climb(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if target is None:
-        target = six_multiplexor_target()
     scorer = Scorer(start.wires, start.n_inputs, start.constant_fill, target, scoring)
     slots = _gene_tables(start.wires).slots.tolist()
     genome = _genes(start)
@@ -416,10 +407,3 @@ def koza_effort(
 
     return min(population * (i + 1) * runs_needed(k / len(runs))
                for k, i in enumerate(solve_gens, 1))
-
-
-def coupon_collector_expected(k: int) -> float:
-    """Expected uniform draws to see all k items at least once: k * H_k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return k * sum(1.0 / i for i in range(1, k + 1))

@@ -118,10 +118,6 @@ class LimitModel:
     solution_probability: float
     pmf: np.ndarray | None = None
 
-    @property
-    def max_fitness(self) -> int:
-        return self.m * (1 << self.n)
-
     def csv_rows(self) -> list[tuple[int, float]]:
         if self.pmf is None:
             raise ValueError(f"{self.kind} model has no materialized pmf")

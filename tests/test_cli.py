@@ -173,6 +173,20 @@ def test_density_csv_schema(tmp_path):
         assert int(count) == 0  # no 6-multiplexor solutions this short
 
 
+def test_density_reads_no_limit_law(tmp_path):
+    """Spare wires holding 0 have no limit law, so `converge` refuses them,
+    but `density` reads none and still writes its CSV."""
+    out = tmp_path / "density.csv"
+    rc = main([
+        "density", "--wires", "7", "--fill", "0", "--lengths", "1,3", "--samples", "2000",
+        "--seed", "5", "--workers", "1", "--out", str(out),
+    ])
+    assert rc == 0
+    rows = read_csv(out)
+    assert rows[0] == ["length", "count", "rate", "ci_lo", "ci_hi"]
+    assert [row[0] for row in rows[1:]] == ["1", "3"]
+
+
 def test_minscan_cli(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     rc = main([

@@ -1,6 +1,6 @@
 """Gates, circuits, bit-parallel evaluation, permutations, text format."""
 
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,8 +222,8 @@ def test_text_format_round_trip():
         w = int(rng.integers(3, 13))
         n = int(rng.integers(3, w + 1))
         fill = int(rng.integers(0, 2))
-        c = random_circuit(w, int(rng.integers(0, 12)), rng, n_inputs=n,
-                           constant_fill=fill)
+        c = replace(random_circuit(w, int(rng.integers(0, 12)), rng, n_inputs=n),
+                    constant_fill=fill)
         back = parse_circuit(format_circuit(c))
         assert back == c
 

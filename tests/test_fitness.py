@@ -6,14 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from revcirc.core import Circuit, Gate, enumerate_gates, random_circuit
+from revcirc.core import Circuit, enumerate_gates, random_circuit
 from revcirc.fitness import (
     DEFAULT_OUTPUT,
     FitnessValue,
     OutputMap,
     TargetTable,
-    best_wire_fitness,
-    hamming_fitness,
     hamming_fitness_scalar,
     Scorer,
     rms_error,
@@ -34,6 +32,12 @@ def reference_mux(t):
     return d3
 
 
+def scorer_fitness(circuit, target, scoring=DEFAULT_OUTPUT):
+    """(fitness, wire) of a circuit by `Scorer.score_gates`, the bit-parallel walk."""
+    scorer = Scorer(circuit.wires, circuit.n_inputs, circuit.constant_fill, target, scoring)
+    return scorer.score_gates((g.target, g.control_a, g.control_b) for g in circuit.gates)
+
+
 def test_six_multiplexor_truth_table():
     target = six_multiplexor_target()
     assert (target.n_inputs, target.m_outputs) == (6, 1)
@@ -47,10 +51,10 @@ def test_empty_circuit_fitness_is_forty():
     # Wire 0 of the identity circuit carries D0; count agreements directly.
     expected = sum((t & 1) == reference_mux(t) for t in range(64))
     assert expected == 40
-    fv = hamming_fitness(Circuit(6), six_multiplexor_target())
-    assert fv.raw == expected
+    fv = hamming_fitness_scalar(Circuit(6), six_multiplexor_target())
+    assert (fv.raw, fv.max_raw) == (expected, 64)
     assert not fv.solved
-    assert fv.normalized == pytest.approx(40 / 64)
+    assert scorer_fitness(Circuit(6), six_multiplexor_target()) == (expected, -1)
 
 
 def test_complement_target_identity():
@@ -62,8 +66,8 @@ def test_complement_target_identity():
     for _ in range(100):
         w = int(rng.integers(6, 10))
         c = random_circuit(w, int(rng.integers(0, 20)), rng, n_inputs=6)
-        f = hamming_fitness(c, target).raw
-        g = hamming_fitness(c, complement).raw
+        f, _ = scorer_fitness(c, target)
+        g, _ = scorer_fitness(c, complement)
         assert f + g == 64
 
 
@@ -74,9 +78,7 @@ def test_scalar_oracle_matches_bit_parallel():
         w = int(rng.integers(6, 13))
         c = random_circuit(w, int(rng.integers(0, 30)), rng, n_inputs=6)
         out = OutputMap((int(rng.integers(0, w)),))
-        fast = hamming_fitness(c, target, out)
-        slow = hamming_fitness_scalar(c, target, out)
-        assert fast.raw == slow.raw
+        assert scorer_fitness(c, target, out)[0] == hamming_fitness_scalar(c, target, out).raw
 
 
 def test_scalar_oracle_multi_output():
@@ -86,20 +88,18 @@ def test_scalar_oracle_multi_output():
     for _ in range(60):
         c = random_circuit(5, int(rng.integers(0, 12)), rng, n_inputs=3)
         out = OutputMap((0, 2))
-        assert hamming_fitness(c, target, out).raw == \
-            hamming_fitness_scalar(c, target, out).raw
+        assert scorer_fitness(c, target, out)[0] == hamming_fitness_scalar(c, target, out).raw
 
 
 def test_best_wire_is_max_over_wires():
+    """"best" scoring gives the lowest wire of maximal case-by-case fitness."""
     target = six_multiplexor_target()
     rng = np.random.default_rng(24)
     for _ in range(80):
         w = int(rng.integers(6, 13))
         c = random_circuit(w, int(rng.integers(0, 25)), rng, n_inputs=6)
-        fv, wire = best_wire_fitness(c, target)
-        per_wire = [hamming_fitness(c, target, OutputMap((k,))).raw for k in range(w)]
-        assert fv.raw == max(per_wire)
-        assert per_wire[wire] == fv.raw
+        per_wire = [hamming_fitness_scalar(c, target, OutputMap((k,))).raw for k in range(w)]
+        assert scorer_fitness(c, target, "best") == (max(per_wire), per_wire.index(max(per_wire)))
 
 
 def test_best_scoring_picks_the_lowest_of_tied_wires():
@@ -143,14 +143,14 @@ def test_value_types_normalise_to_int_tuples():
 def test_fitness_checks_compatibility():
     target = six_multiplexor_target()
     with pytest.raises(ValueError):
-        hamming_fitness(Circuit(6, n_inputs=5), target)  # wrong input count
+        hamming_fitness_scalar(Circuit(6, n_inputs=5), target)  # wrong input count
     with pytest.raises(ValueError):
-        hamming_fitness(Circuit(6), target, OutputMap((6,)))  # wire off bus
+        hamming_fitness_scalar(Circuit(6), target, OutputMap((6,)))  # wire off bus
     with pytest.raises(ValueError):
-        hamming_fitness(Circuit(6), target, OutputMap((0, 1)))  # arity mismatch
+        hamming_fitness_scalar(Circuit(6), target, OutputMap((0, 1)))  # arity mismatch
     for circuit in (Circuit(6, n_inputs=5), Circuit(7)):  # wrong input count
         with pytest.raises(ValueError, match="6 inputs"):
-            best_wire_fitness(circuit, target)
+            scorer_fitness(circuit, target, "best")
 
 
 def test_no_spare_fitness_is_always_even():
@@ -159,7 +159,7 @@ def test_no_spare_fitness_is_always_even():
     for _ in range(300):
         c = random_circuit(6, int(rng.integers(0, 40)), rng)
         w = int(rng.integers(0, 6))
-        assert hamming_fitness(c, target, OutputMap((w,))).raw % 2 == 0
+        assert scorer_fitness(c, target, OutputMap((w,)))[0] % 2 == 0
 
 
 def test_one_spare_frees_odd_values():
@@ -169,7 +169,7 @@ def test_one_spare_frees_odd_values():
     target = six_multiplexor_target()
     rng = np.random.default_rng(26)
     odd = sum(
-        hamming_fitness(random_circuit(7, 60, rng, n_inputs=6), target).raw % 2
+        scorer_fitness(random_circuit(7, 60, rng, n_inputs=6), target)[0] % 2
         for _ in range(60)
     )
     assert odd >= 10
@@ -231,9 +231,29 @@ def test_target_table_text_validation():
         TargetTable(6, 0, ())  # its fitness would be 0 of 0 cases
 
 
+@pytest.mark.parametrize("text,message", [
+    ("134217728 1\n", r"expected 2\^134217728 case lines, got 0"),
+    ("2 100000000\n", r"expected 2\^2 case lines, got 0"),
+    ("2 100000000\n0\n1\n1\n0\n", "case line 0: expected 100000000 bits, got 1"),
+])
+def test_target_table_text_refuses_huge_headers_before_sizing_anything(text, message):
+    """A header's n is checked against the case lines given, and its m
+    against a case line's bits, before 2^n or m sizes anything, so each
+    refusal traces under 1 MiB.  Shifting first built a 2^27-bit integer
+    and died converting it to text; m rows made first took 1.7 GB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            TargetTable.from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_fitness_value_properties():
     fv = FitnessValue(64, 64)
-    assert fv.solved and fv.normalized == 1.0
+    assert fv.solved
     assert not FitnessValue(0, 64).solved
 
 

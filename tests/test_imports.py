@@ -1,12 +1,17 @@
-"""Source hygiene: unused imports, the public names, and which module may
-call the batch kernels or write files."""
+"""Source hygiene: unused imports, the public names and who loads them,
+which module may call the batch kernels or write files, and that the demos
+and the benchmark still import."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "revcirc"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "revcirc"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -70,6 +75,54 @@ def identifiers(source: str) -> set[str]:
         elif isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
     return names
+
+
+# The public names that no module of src/ but their own, no demo and no
+# benchmark module loads; each is listed with why it stays public.
+UNCALLED_PUBLIC_NAMES = {
+    # return types, whose fields callers read
+    "ConvergenceSeries", "FitnessValue", "TruthTableTrace",
+    # operators and oracles that tests/test_acceptance.py and the exact
+    # fitness laws (ROADMAP item H) use
+    "mutate", "neighborhood_size", "to_permutation", "rms_error",
+    # one line of the circuit text format, which `parse_circuits` wraps
+    "parse_circuit",
+}
+
+
+def test_every_public_name_is_loaded_outside_its_module_or_listed():
+    """A public name that only its own module and the tests load is dead
+    weight unless it is listed, with its reason, in `UNCALLED_PUBLIC_NAMES`."""
+    import importlib
+
+    sources = {p: identifiers(p.read_text(encoding="utf-8"))
+               for folder in (PACKAGE, ROOT / "demos", ROOT / "perfbench")
+               for p in folder.glob("*.py")}
+    uncalled = set()
+    for name in SUBMODULES:
+        own = {PACKAGE / f"{name}.py", PACKAGE / "__init__.py"}
+        for public in importlib.import_module(f"revcirc.{name}").__all__:
+            if not any(public in ids for p, ids in sources.items() if p not in own):
+                uncalled.add(public)
+    assert uncalled == UNCALLED_PUBLIC_NAMES
+
+
+def test_demos_and_benchmark_modules_import():
+    """Every demo and the benchmark's set-up, state and workload modules
+    import in a fresh interpreter on the source tree, so a name they take
+    from the package cannot go unnoticed.  Each demo guards its `main`; the
+    benchmark's runner loads its workloads only when it runs, so they are
+    imported directly."""
+    modules = [p.stem for p in sorted((ROOT / "demos").glob("*.py"))]
+    modules += ["prepare", "state", "workloads"]
+    code = ("import importlib, sys\n"
+            "sys.path[:0] = ['demos', 'perfbench']\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module(name)\n")
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("name,owners", [

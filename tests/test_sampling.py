@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from revcirc import sampling
-from revcirc.cli import build_parser
+from revcirc.cli import _sampling_rows, build_parser
 from revcirc.core import Circuit, enumerate_gates, evaluate
 from revcirc.fitness import (
     DEFAULT_OUTPUT,
     OutputMap,
     TargetTable,
-    hamming_fitness,
     hamming_fitness_scalar,
     six_multiplexor_target,
 )
@@ -26,12 +25,10 @@ from revcirc.sampling import (
     FitnessHistogram,
     convergence_series,
     exhaustive_min_scan,
-    poisson_interval,
     sample_distribution,
     sample_fitness_histogram,
-    solution_density,
 )
-from revcirc.theory import binomial_limit, limit_for, total_variation_distance
+from revcirc.theory import binomial_limit, limit_for, poisson_interval, total_variation_distance
 
 TARGET = six_multiplexor_target()
 D0_PASSTHROUGH = TargetTable(6, 1, (sum(1 << t for t in range(64) if t & 1),))
@@ -230,12 +227,11 @@ def test_long_spare_circuits_approach_binomial():
 
 def test_single_gate_distribution_matches_direct_enumeration():
     """Oracle: at length 1 the sampled distribution must match the exact
-    distribution over the 90 equally likely gates, computed through the
-    plain fitness path."""
+    distribution over the 90 equally likely gates, computed case by case."""
     gates = enumerate_gates(6)
     exact = np.zeros(65)
     for g in gates:
-        f = hamming_fitness(Circuit(6, [g]), TARGET).raw
+        f = hamming_fitness_scalar(Circuit(6, [g]), TARGET).raw
         exact[f] += 1 / len(gates)
     hist = sample_fitness_histogram(6, 1, 90_000, seed=7, target=TARGET)
     assert total_variation_distance(hist.distribution(), exact) < 0.01
@@ -414,23 +410,17 @@ def test_interrupted_serial_run_resumes_with_workers(tmp_path, monkeypatch):
 
 def test_solution_density_against_exact_rate():
     """At length 1 on 6 wires, a circuit leaves wire 0 carrying D0 exactly
-    when its gate does not target wire 0: 75 of the 90 gates."""
+    when its gate does not target wire 0: 75 of the 90 gates.  The density
+    rows are the `density` command's."""
     cfg = ExperimentConfig(
         wires=6, lengths=(1,), samples_per_length=90_000,
         target=D0_PASSTHROUGH, seed=13,
     )
-    ((length, count, rate, lo, hi),) = solution_density(cfg)
-    assert length == 1
+    header, ((length, count, rate, lo, hi),) = _sampling_rows("density", cfg)
+    assert header == ["length", "count", "rate", "ci_lo", "ci_hi"]
+    assert length == 1 and rate == count / 90_000
     assert lo < 75 / 90 < hi
     assert rate == pytest.approx(75 / 90, abs=0.01)
-
-
-def test_solution_density_needs_one_output():
-    pair = TargetTable.from_function(6, 2, lambda t: t & 3)
-    cfg = ExperimentConfig(wires=6, lengths=(1,), samples_per_length=10, target=pair,
-                           outputs=OutputMap((0, 1)))
-    with pytest.raises(ValueError, match="single-output targets"):
-        solution_density(cfg)
 
 
 def test_poisson_interval_reference_values():

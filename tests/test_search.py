@@ -14,8 +14,6 @@ from revcirc.fitness import (
     OutputMap,
     Scorer,
     TargetTable,
-    best_wire_fitness,
-    hamming_fitness,
     hamming_fitness_scalar,
     six_multiplexor_target,
 )
@@ -29,7 +27,6 @@ from revcirc.search import (
     _genes,
     _mutate_genes,
     _mutate_population,
-    coupon_collector_expected,
     evolve,
     hill_climb,
     koza_effort,
@@ -42,6 +39,16 @@ TARGET = six_multiplexor_target()
 
 def gate_slots(g):
     return (g.target, g.control_a, g.control_b)
+
+
+def scalar_fitness(circuit, target, scoring):
+    """(fitness, wire) by the case-by-case oracle: under "best" the lowest
+    wire of maximal fitness, under a fixed map wire -1."""
+    if scoring != "best":
+        return hamming_fitness_scalar(circuit, target, scoring).raw, -1
+    fits = [hamming_fitness_scalar(circuit, target, OutputMap((w,))).raw
+            for w in range(circuit.wires)]
+    return max(fits), fits.index(max(fits))
 
 
 def test_mutation_changes_exactly_one_slot_and_stays_legal():
@@ -183,7 +190,7 @@ def hill_climb_lines():
     for wires, gates, scoring, seed in runs:
         start = random_circuit(wires, gates, np.random.default_rng(seed), n_inputs=6)
         rng = np.random.default_rng(seed + 100)
-        lines += record_lines(hill_climb(start, 3000, rng, scoring=scoring))
+        lines += record_lines(hill_climb(start, 3000, rng, TARGET, scoring))
     return lines
 
 
@@ -339,14 +346,11 @@ def test_hill_climb_leaves_the_generator_where_scalar_draws_would(
 def reference_climb(start, rng, budget, scoring, accept_equal):
     """The climb as a list, one entry per evaluation: a plain loop drawing
     its moves from the generator one scalar call at a time and scoring each
-    circuit whole."""
+    circuit whole, case by case."""
     scorer = Scorer(start.wires, start.n_inputs, start.constant_fill, TARGET, scoring)
 
     def score(genes):
-        circuit = _circuit(genes, scorer)
-        if scoring == "best":
-            return best_wire_fitness(circuit, TARGET)[0].raw
-        return hamming_fitness(circuit, TARGET, scoring).raw
+        return scalar_fitness(_circuit(genes, scorer), TARGET, scoring)[0]
 
     genes = _genes(start)
     fit = score(genes)
@@ -375,7 +379,7 @@ def test_hill_climb_trajectory_reads_as_the_list_it_stands_for(
         return random_circuit(wires, gates, rng, n_inputs=6), rng
 
     start, rng = fresh()
-    rec = hill_climb(start, budget, rng, scoring=scoring, accept_equal=accept_equal)
+    rec = hill_climb(start, budget, rng, TARGET, scoring, accept_equal)
     want = reference_climb(*fresh(), budget, scoring, accept_equal)
     view = rec.best_fitness_per_generation
     assert list(view) == want
@@ -489,8 +493,8 @@ POPULATION_SCORING = [
 @pytest.mark.parametrize("wires,target,fill,scoring", POPULATION_SCORING)
 def test_score_population_matches_the_fitness_functions(wires, target, fill, scoring):
     """A random population of genes (controls in either order) scores, by
-    `Scorer.score_codes` on its gate codes, what `hamming_fitness` or
-    `best_wire_fitness` and `Scorer.score_gates` give its circuits, and
+    `Scorer.score_codes` on its gate codes, what the case-by-case oracle
+    `hamming_fitness_scalar` and `Scorer.score_gates` give its circuits, and
     `Scorer.final_rows` gives the rows `evaluate` leaves on the wires read:
     every wire under "best", else the mapped wires in map order."""
     scorer = Scorer(wires, target.n_inputs, fill, target, scoring)
@@ -505,11 +509,7 @@ def test_score_population_matches_the_fitness_functions(wires, target, fill, sco
     for genome, fit, wire, row in zip(genomes, fits, best_wires, rows):
         circuit = _circuit(genome, scorer)
         assert row.tolist() == [evaluate(circuit).wire_rows[w] for w in read]
-        if scoring == "best":
-            best, best_wire = best_wire_fitness(circuit, target)
-            assert (fit, wire) == (best.raw, best_wire)
-        else:
-            assert (fit, wire) == (hamming_fitness(circuit, target, scoring).raw, -1)
+        assert (fit, wire) == scalar_fitness(circuit, target, scoring)
         assert (fit, wire) == scorer.score_gates(map(gate_slots, circuit.gates))
 
 
@@ -522,7 +522,7 @@ def test_wide_target_search_scores_like_the_fitness_functions(monkeypatch, scori
     """Past 64 cases `Scorer.score_codes` walks each circuit through
     `Scorer.score_gates`, which the hill climber calls directly.  Every
     genome `evolve` and `hill_climb` score must get the fitness (and wire)
-    that `hamming_fitness` and `best_wire_fitness` give its circuit.
+    that the case-by-case oracle `hamming_fitness_scalar` gives its circuit.
     `Scorer.final_rows`, one word per row, refuses such a target."""
     with pytest.raises(ValueError, match="up to 64 cases"):
         Scorer(8, 7, 1, WIDE_TARGET, scoring).final_rows(np.zeros((1, 1), dtype=np.intp))
@@ -554,13 +554,12 @@ def test_wide_target_search_scores_like_the_fitness_functions(monkeypatch, scori
     hc = hill_climb(start, 60, rng, target=WIDE_TARGET, scoring=scoring)
     assert len(scored) == ga.evaluations + hc.evaluations
     for circuit, (fit, wire) in scored:
-        best, best_wire = best_wire_fitness(circuit, WIDE_TARGET)
+        best, best_wire = scalar_fitness(circuit, WIDE_TARGET, "best")
         if scoring == "best":
-            assert (fit, wire) == (best.raw, best_wire)
-            assert fit == hamming_fitness(circuit, WIDE_TARGET, OutputMap((wire,))).raw
+            assert (fit, wire) == (best, best_wire)
         else:
-            assert wire == -1
-            assert fit == hamming_fitness(circuit, WIDE_TARGET, scoring).raw <= best.raw
+            assert (fit, wire) == scalar_fitness(circuit, WIDE_TARGET, scoring)
+            assert fit <= best
 
 
 def test_hill_climb_validates_budget():
@@ -701,13 +700,6 @@ def test_koza_effort_matches_every_generation_reference(z):
         population = int(rng.integers(1, 600))
         assert koza_effort(runs, population, z) == _koza_effort_every_generation(
             runs, population, z)
-
-
-def test_coupon_collector_expected():
-    assert coupon_collector_expected(1) == 1.0
-    assert math.ceil(coupon_collector_expected(600)) == 4185
-    with pytest.raises(ValueError):
-        coupon_collector_expected(0)
 
 
 def test_solve_generation_helper():

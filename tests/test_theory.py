@@ -24,7 +24,7 @@ from revcirc.theory import (
 
 def test_binomial_limit_exact_pmf():
     model = binomial_limit(6, 1)
-    assert model.max_fitness == 64
+    assert len(model.pmf) == 65
     assert model.mean == 32.0
     assert model.sd == 4.0
     assert model.pmf.sum() == pytest.approx(1.0, abs=1e-12)
@@ -35,7 +35,7 @@ def test_binomial_limit_exact_pmf():
 
 def test_binomial_limit_multi_output():
     model = binomial_limit(3, 2)
-    assert model.max_fitness == 16
+    assert len(model.pmf) == 17
     assert model.mean == 8.0
     assert model.sd == 2.0
     assert model.pmf.sum() == pytest.approx(1.0, abs=1e-12)
