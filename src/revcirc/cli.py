@@ -360,10 +360,9 @@ def _cmd_target(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    if args.kind == "binomial":
-        _write_csv(args.out, ["fitness", "probability"], binomial_limit(args.n, args.m).csv_rows())
-    elif args.kind == "parity-shifted":
-        _write_csv(args.out, ["fitness", "probability"], parity_shifted_limit().csv_rows())
+    if args.kind in ("binomial", "parity-shifted"):
+        law = binomial_limit(args.n, args.m) if args.kind == "binomial" else parity_shifted_limit()
+        _write_csv(args.out, ["fitness", "probability"], enumerate(law.pmf.tolist()))
     elif args.kind == "normalized":
         _write_csv(args.out, ["mean", "sd"], [normalized_limit(args.n, args.m)])
     else:  # rms

@@ -74,13 +74,19 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.outputs == "best":
             raise ValueError("the sampler needs a fixed output map, not best-wire scoring")
-        # the gate count W^2 (W - 1) / 2, the gate table and the Scorer check the
-        # bus before any chunk or checkpoint
-        if self.wires ** 2 * (self.wires - 1) // 2 > 1 << 16:
-            raise ValueError(f"uint16 gate codes fit buses of at most 51 wires, got {self.wires}")
-        gate_arrays(self.wires)
-        Scorer(self.wires, self.target.n_inputs, self.constant_fill, self.target,
-               self.outputs).check_one_word()
+        # the bus is checked before any chunk or checkpoint
+        _sampler_scorer(self.wires, self.target, self.outputs, self.constant_fill)
+
+
+def _sampler_scorer(wires, target, outputs, constant_fill) -> tuple[Scorer, int]:
+    """The sampler's Scorer and gate count.  The bus's W^2 (W - 1) / 2 gates
+    must fit uint16 codes, which is checked before any table is built."""
+    if wires ** 2 * (wires - 1) // 2 > 1 << 16:
+        raise ValueError(f"uint16 gate codes fit buses of at most 51 wires, got {wires}")
+    n_gates = len(gate_arrays(wires)[0])
+    scorer = Scorer(wires, target.n_inputs, constant_fill, target, outputs)
+    scorer.check_one_word()
+    return scorer, n_gates
 
 
 @dataclass
@@ -136,9 +142,7 @@ def sample_fitness_histogram(
     so any partition of chunks across workers — or a resumed run starting at
     `first_chunk` with `initial_counts` — produces identical totals.
     """
-    scorer = Scorer(wires, target.n_inputs, constant_fill, target, outputs)
-    scorer.check_one_word()
-    n_gates = len(gate_arrays(wires)[0])
+    scorer, n_gates = _sampler_scorer(wires, target, outputs, constant_fill)
     counts = np.zeros(target.max_fitness + 1, dtype=np.int64)
     if initial_counts is not None:
         counts += np.asarray(initial_counts, dtype=np.int64)
@@ -173,8 +177,6 @@ def _gate_code_blocks(rng: np.random.Generator, n_gates: int, batch: int, length
     the chunk's codes, so the generator is left past where numpy's call
     would leave it; each chunk's generator draws nothing else.
     """
-    if not 1 <= n_gates <= 1 << 16:
-        raise ValueError(f"{n_gates} gate codes do not fit uint16")
     if 2 * batch * length <= DRAW_BLOCK_BYTES:  # one block: numpy's own draw is faster
         yield rng.integers(0, n_gates, size=(batch, length), dtype=np.uint16)
         return
@@ -310,8 +312,6 @@ def convergence_series(
     histograms: Sequence[FitnessHistogram], limit: LimitModel
 ) -> ConvergenceSeries:
     """Per-length mean, sd, TVD to the limit pmf, and solution count."""
-    if limit.pmf is None:
-        raise ValueError("limit model has no materialized pmf")
     rows = []
     for h in histograms:
         if len(h.counts) != len(limit.pmf):

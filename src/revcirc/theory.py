@@ -32,7 +32,7 @@ __all__ = [
     "total_variation_distance",
 ]
 
-# Materializing a binomial pmf beyond this many outcomes is pointless for
+# The most outcomes a binomial law's pmf may hold: more is pointless for
 # plotting and risks large allocations.
 PMF_SIZE_GUARD = 1 << 20
 
@@ -104,24 +104,13 @@ _PARITY_HYPERGEOM_PMF = (
 
 @dataclass(frozen=True)
 class LimitModel:
-    """A limiting fitness distribution with exact moments.
+    """A limiting fitness distribution: its exact mean and sd, and its pmf
+    indexed by raw fitness 0..m*2^n, whose last entry is the limit mass on
+    perfect fitness."""
 
-    `pmf`, when materialized, is indexed by raw fitness 0..m*2^n.
-    `solution_probability` is the limit mass on perfect fitness.
-    """
-
-    kind: str
-    n: int
-    m: int
     mean: float
     sd: float
-    solution_probability: float
-    pmf: np.ndarray | None = None
-
-    def csv_rows(self) -> list[tuple[int, float]]:
-        if self.pmf is None:
-            raise ValueError(f"{self.kind} model has no materialized pmf")
-        return [(f, float(p)) for f, p in enumerate(self.pmf)]
+    pmf: np.ndarray
 
 
 def _table_bits(n: int, m: int) -> int:
@@ -138,17 +127,18 @@ def _table_bits(n: int, m: int) -> int:
 
 def binomial_limit(n: int, m: int = 1) -> LimitModel:
     """Limit law with spare wires: every output bit is an independent fair
-    coin on every case, so raw fitness ~ Binomial(m*2^n, 1/2)."""
+    coin on every case, so raw fitness ~ Binomial(m*2^n, 1/2).  Refused,
+    before anything is allocated, past PMF_SIZE_GUARD outcomes."""
     M = _table_bits(n, m)
-    mean = M / 2
-    sd = math.sqrt(M) / 2
-    sol = math.ldexp(1.0, -M)  # exactly 2^-M; 0.0 once it underflows
-    pmf = None
+    if M + 1 > PMF_SIZE_GUARD:
+        raise ValueError(
+            f"Binomial({M}, 1/2) has {M + 1} outcomes, past PMF_SIZE_GUARD ({PMF_SIZE_GUARD})"
+        )
     if M + 1 == len(_BINOMIAL_64_PMF):
         pmf = np.array(_BINOMIAL_64_PMF)
-    elif M + 1 <= PMF_SIZE_GUARD:
+    else:
         pmf = _special()._binom_pmf(np.arange(M + 1), M, 0.5)
-    return LimitModel("binomial-hamming", n, m, mean, sd, sol, pmf)
+    return LimitModel(M / 2, math.sqrt(M) / 2, pmf)
 
 
 def parity_shifted_limit() -> LimitModel:
@@ -172,11 +162,7 @@ def parity_shifted_limit() -> LimitModel:
     # Twice k's mean n*K/N and sd sqrt(n*K/N * (N-K)/N * (N-n)/(N-1)),
     # written so that they round to scipy's _hypergeom_mean and
     # _hypergeom_variance bit for bit.
-    mean = 2048 / 63
-    sd = 2 * math.sqrt(32 * 32 * 31 * 31 / (63 * 63 * 62))
-    return LimitModel(
-        "parity-shifted-hamming", 6, 1, mean, sd, _PARITY_HYPERGEOM_PMF[-1], pmf
-    )
+    return LimitModel(2048 / 63, 2 * math.sqrt(32 * 32 * 31 * 31 / (63 * 63 * 62)), pmf)
 
 
 def limit_for(wires: int, target: TargetTable, constant_fill: int = 1) -> LimitModel:

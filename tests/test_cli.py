@@ -364,16 +364,18 @@ def test_limit_csv(tmp_path):
     (["--kind", "normalized", "--m", "0"], "m >= 1"),
     (["--kind", "binomial", "--n", "-1"], "n >= 0"),
     (["--kind", "binomial", "--m", "0"], "m >= 1"),
-], ids=["binomial-n2000", "rms-m2000", "normalized-m0", "binomial-n-1", "binomial-m0"])
+    (["--kind", "binomial", "--n", "20"], "1048577 outcomes, past PMF_SIZE_GUARD (1048576)"),
+], ids=["binomial-n2000", "rms-m2000", "normalized-m0", "binomial-n-1", "binomial-m0",
+        "binomial-n20"])
 def test_limit_refuses_out_of_range_sizes(tmp_path, capsys, flags, message):
-    """Sizes whose moments overflow a float, a negative input count and an
-    empty output are refused as CLI errors naming the bound, before any
-    file is written."""
-    out = tmp_path / "limit.csv"
+    """Sizes whose moments overflow a float, a negative input count, an
+    empty output and a binomial pmf past its guard are refused as CLI errors
+    naming the bound, before any file or directory is made."""
+    out = tmp_path / "d" / "limit.csv"
     assert main(["limit", *flags, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("revcirc: error:") and message in err
-    assert not out.exists()
+    assert not out.parent.exists()
 
 
 def test_recipe_manifest_round_trip(tmp_path):

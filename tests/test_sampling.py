@@ -178,9 +178,22 @@ def test_long_chunk_holds_one_draw_block(wires):
     assert peak < 4 * 2**20
 
 
-def test_gate_code_blocks_refuse_codes_past_uint16():
-    with pytest.raises(ValueError, match="uint16"):
-        next(sampling._gate_code_blocks(np.random.default_rng(0), (1 << 16) + 1, 1, 1))
+@pytest.mark.parametrize("wires", [52, 80])
+def test_sampler_refuses_buses_past_51_wires_before_any_table(wires):
+    """Past 51 wires the W^2 (W - 1) / 2 gate codes overflow uint16.  A
+    direct sampler call is refused as a configuration is, from the bus width
+    alone, not after building the bus's gates (252,800 on 80 wires)."""
+    message = f"uint16 gate codes fit buses of at most 51 wires, got {wires}"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(wires, (3,), 10, TARGET)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            sample_fitness_histogram(wires, 3, 10, 0, TARGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_worker_split_is_invisible():
@@ -460,12 +473,8 @@ def test_convergence_series_rows_and_tvds():
 
 def test_convergence_series_checks_support():
     hist = sample_fitness_histogram(6, 5, 1000, seed=1, target=TARGET)
-    small = TargetTable.from_function(3, 1, lambda t: t & 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match limit pmf"):
         convergence_series([hist], binomial_limit(3, 1))
-    model = binomial_limit(24, 1)
-    with pytest.raises(ValueError):
-        convergence_series([hist], model)  # no materialized pmf
 
 
 def brute_force_scan(wires, max_length, target, prune, fill=1):

@@ -42,12 +42,21 @@ def gate_slots(g):
 
 
 def scalar_fitness(circuit, target, scoring):
-    """(fitness, wire) by the case-by-case oracle: under "best" the lowest
-    wire of maximal fitness, under a fixed map wire -1."""
+    """(fitness, wire) case by case: under a fixed map the oracle
+    `hamming_fitness_scalar` and wire -1; under "best" each case walks the
+    gates once, one state at a time, and every wire counts its matches, so
+    the lowest wire of maximal fitness wins."""
     if scoring != "best":
         return hamming_fitness_scalar(circuit, target, scoring).raw, -1
-    fits = [hamming_fitness_scalar(circuit, target, OutputMap((w,))).raw
-            for w in range(circuit.wires)]
+    fill = (1 << circuit.wires) - (1 << circuit.n_inputs) if circuit.constant_fill else 0
+    fits = [0] * circuit.wires
+    for t in range(target.case_count):
+        state = t | fill
+        for g in circuit.gates:
+            state = g.apply_to_state(state)
+        want = target.answer(t)
+        for w in range(circuit.wires):
+            fits[w] += (state >> w) & 1 == want
     return max(fits), fits.index(max(fits))
 
 
@@ -515,6 +524,21 @@ def test_score_population_matches_the_fitness_functions(wires, target, fill, sco
 
 # 7 inputs, 128 cases: rows no longer fit a machine word.
 WIDE_TARGET = TargetTable.from_function(7, 1, lambda t: ((t >> 6) ^ (t >> (t >> 4 & 3))) & 1)
+
+
+@pytest.mark.parametrize("wires,target", [(6, TARGET), (12, TARGET), (8, WIDE_TARGET)],
+                         ids=["6w", "12w", "8w-wide"])
+def test_best_wire_reference_is_the_per_wire_oracle(wires, target):
+    """The one-walk best-wire reference reads, on random circuits, the
+    lowest wire of maximal `hamming_fitness_scalar` over one-wire maps."""
+    rng = np.random.default_rng(wires)
+    for fill in (0, 1):
+        for length in (0, 3, 12, 20):
+            gates = random_circuit(wires, length, rng, n_inputs=target.n_inputs).gates
+            circuit = Circuit(wires, gates, target.n_inputs, constant_fill=fill)
+            fits = [hamming_fitness_scalar(circuit, target, OutputMap((w,))).raw
+                    for w in range(wires)]
+            assert scalar_fitness(circuit, target, "best") == (max(fits), fits.index(max(fits)))
 
 
 @pytest.mark.parametrize("scoring", [OutputMap((7,)), "best"], ids=["wire7", "best"])

@@ -1,7 +1,9 @@
 """Closed-form limit laws, their Monte Carlo oracles, Markov machinery."""
 
+import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from scipy import stats
 
 from revcirc.fitness import TargetTable, six_multiplexor_target
 from revcirc.theory import (
+    PMF_SIZE_GUARD,
     LimitModel,
     binomial_limit,
     gate_transition_matrix,
@@ -24,13 +27,14 @@ from revcirc.theory import (
 
 def test_binomial_limit_exact_pmf():
     model = binomial_limit(6, 1)
+    assert [f.name for f in dataclasses.fields(LimitModel)] == ["mean", "sd", "pmf"]
     assert len(model.pmf) == 65
     assert model.mean == 32.0
     assert model.sd == 4.0
     assert model.pmf.sum() == pytest.approx(1.0, abs=1e-12)
     for k in (0, 1, 17, 32, 64):
         assert model.pmf[k] == pytest.approx(math.comb(64, k) / 2**64, rel=1e-12)
-    assert model.solution_probability == 2.0**-64
+    assert model.pmf[-1] == 2.0**-64
 
 
 def test_binomial_limit_multi_output():
@@ -42,11 +46,19 @@ def test_binomial_limit_multi_output():
 
 
 def test_binomial_limit_pmf_guard():
-    big = binomial_limit(24, 1)  # 2^24 + 1 bins exceed the pmf guard
-    assert big.pmf is None
-    assert big.mean == 2.0**23
-    with pytest.raises(ValueError):
-        big.csv_rows()
+    """A law whose pmf would pass the guard (2^24 + 1 outcomes) is refused
+    by name before anything is allocated; the guard's own size is not."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="16777217 outcomes, past PMF_SIZE_GUARD"):
+            binomial_limit(24, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(binomial_limit(0, PMF_SIZE_GUARD - 1).pmf) == PMF_SIZE_GUARD
+    with pytest.raises(ValueError, match="PMF_SIZE_GUARD"):
+        binomial_limit(0, PMF_SIZE_GUARD)
 
 
 def test_parity_shifted_limit_moments():
@@ -59,7 +71,7 @@ def test_parity_shifted_limit_moments():
     var = 32 * (32 / 63) * (31 / 63) * (31 / 62)
     assert model.sd == pytest.approx(2 * math.sqrt(var), rel=1e-12)
     assert model.sd == pytest.approx(4.0, abs=1e-3)
-    assert model.solution_probability == pytest.approx(1 / math.comb(63, 32), rel=1e-9)
+    assert model.pmf[-1] == pytest.approx(1 / math.comb(63, 32), rel=1e-9)
 
 
 def test_binomial_limit_is_bit_identical_to_scipy_stats():
@@ -79,7 +91,7 @@ def test_parity_shifted_limit_is_bit_identical_to_scipy_stats():
     assert np.array_equal(model.pmf, want)
     assert model.mean == 2 * hg.mean()
     assert model.sd == 2 * hg.std()
-    assert model.solution_probability == pk[32]
+    assert model.pmf[-1] == pk[32]
 
 
 def test_parity_shifted_limit_against_permutation_simulation():
@@ -109,29 +121,28 @@ def test_limit_for_picks_the_law_by_spare_wires():
     or more holding 1 give the binomial law; too few wires, spare wires
     holding 0, or a 6-input target the parity-shifted law does not cover,
     are refused."""
+    def law(model):
+        return model.mean, model.sd, model.pmf.tobytes()
+
     mux = six_multiplexor_target()
+    parity, binomial = law(parity_shifted_limit()), law(binomial_limit(6, 1))
+    assert parity != binomial
     no_spare = limit_for(6, mux)
-    assert no_spare.kind == "parity-shifted-hamming"
+    assert law(no_spare) == parity
     assert not no_spare.pmf[1::2].any()
-    binomial = binomial_limit(6, 1)
     for wires in (7, 12):
-        model = limit_for(wires, mux)
-        assert model.pmf.tobytes() == binomial.pmf.tobytes()
-        assert (model.kind, model.n, model.m, model.mean, model.sd, model.solution_probability) == (
-            binomial.kind, binomial.n, binomial.m, binomial.mean, binomial.sd,
-            binomial.solution_probability,
-        )
+        assert law(limit_for(wires, mux)) == binomial
     with pytest.raises(ValueError, match="at least 6 wires"):
         limit_for(5, mux)
     # The fill matters only on spare wires; holding 0, they leave case 0 on
     # the all-zero bus, which no law here covers.
-    assert limit_for(6, mux, 0).kind == "parity-shifted-hamming"
+    assert law(limit_for(6, mux, 0)) == parity
     with pytest.raises(ValueError, match="spare wires holding 0"):
         limit_for(7, mux, 0)
     unbalanced = TargetTable.from_function(6, 1, lambda t: int(t & 3 == 3))
     case0_wants_1 = TargetTable.from_function(6, 1, lambda t: 1 - (t & 1))
     for target in (unbalanced, case0_wants_1):
-        assert limit_for(7, target).kind == "binomial-hamming"
+        assert law(limit_for(7, target)) == binomial
         with pytest.raises(ValueError, match="balanced truth tables"):
             limit_for(6, target)
 
@@ -181,14 +192,6 @@ def test_rms_limit_exhaustive_formula_and_oracle_gap():
 def test_rms_limit_rejects_unknown_regime():
     with pytest.raises(ValueError):
         rms_limit(6, "huge-T")
-
-
-def test_limit_model_csv_rows():
-    model = parity_shifted_limit()
-    rows = model.csv_rows()
-    assert rows[0] == (0, 0.0)
-    assert len(rows) == 65
-    assert sum(p for _, p in rows) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transition_matrix_is_doubly_stochastic():
@@ -262,9 +265,3 @@ def test_total_variation_distance_basics():
     with pytest.raises(ValueError, match=r"support mismatch: \(2,\) vs \(3,\)"):
         total_variation_distance([0.5, 0.5], [0.5, 0.25, 0.25])
 
-
-def test_limit_model_metadata():
-    model = binomial_limit(6)
-    assert isinstance(model, LimitModel)
-    assert model.kind == "binomial-hamming"
-    assert (model.n, model.m) == (6, 1)
