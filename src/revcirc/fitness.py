@@ -240,8 +240,8 @@ class Scorer:
 
     def score_codes(self, gate_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(fitness, wire) arrays of B circuits given as (B, L) gate codes;
-        wire is -1 under a fixed map.  Up to 64 cases it counts the misses in
-        `final_rows`; past 64 it walks each circuit by `score_gates`."""
+        wire is -1 under a fixed map (read-only).  Up to 64 cases it counts the
+        misses in `final_rows`; past 64 it walks each circuit by `score_gates`."""
         if not self._one_word:
             triples = np.stack(gate_arrays(self.wires), axis=1).tolist()
             scores = [self.score_gates(map(triples.__getitem__, codes))
@@ -255,7 +255,7 @@ class Scorer:
         if self.scoring == "best":
             return self._cases - misses.min(axis=1).astype(np.int64), misses.argmin(axis=1)
         raw = self.target.max_fitness - misses.sum(axis=1, dtype=np.int64)
-        return raw, np.full(len(gate_codes), -1, dtype=np.int64)
+        return raw, np.broadcast_to(np.int64(-1), (len(gate_codes),))
 
 
 def hamming_fitness_scalar(

@@ -40,10 +40,10 @@ CHUNK_SIZE = 1 << 15
 ENUMERATION_GUARD = 10**10
 # Bus words a scan level holds at once (1 MiB; fastest of 2^14-2^20, BENCH_sampler.json).
 SCAN_BLOCK_WORDS = 1 << 17
-# Bytes of gate codes a chunk draws and scores at once (2 MiB), and the
-# generator words one draw step takes (128 KiB).
+# Bytes of gate codes a chunk draws and scores at once (2 MiB), and the most
+# raw words (128 KiB) a draw step reads from the chunk's fresh PCG64.
 DRAW_BLOCK_BYTES = 1 << 21
-DRAW_STEP_WORDS = 1 << 15
+DRAW_STEP_WORDS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,7 @@ def sample_fitness_histogram(
     added = 0
     for c in range(first_chunk, last_chunk):
         batch = min(CHUNK_SIZE, samples - c * CHUNK_SIZE)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, length, c]))
-        for codes in _gate_code_blocks(rng, n_gates, batch, length):
+        for codes in _gate_code_blocks([seed, length, c], n_gates, batch, length):
             fit, _ = scorer.score_codes(codes)
             counts += np.bincount(fit, minlength=len(counts))
         added += batch
@@ -161,47 +160,48 @@ def sample_fitness_histogram(
     return FitnessHistogram(length, counts, int(counts.sum()))
 
 
-def _gate_code_blocks(rng: np.random.Generator, n_gates: int, batch: int, length: int):
-    """The (batch, length) codes `rng.integers(0, n_gates, size=(batch,
-    length), dtype=np.uint16)` draws, as row blocks of at most
-    DRAW_BLOCK_BYTES bytes, each yielded in one buffer that the next
-    overwrites; so a chunk holds 2 MiB of codes whatever its length.  A
-    chunk that fits one block as uint16 is numpy's call itself; longer ones
-    hold their codes in the smallest unsigned type (uint8 up to 256 gates,
-    so 6- and 7-wire blocks hold twice the circuits).
-
-    numpy draws each code by Lemire's rule on the next 16-bit half of the
-    generator's 32-bit words, low half first: m = half * n_gates, rejected
-    while m mod 2^16 < 2^16 mod n_gates, code m >> 16.  `integers(0, 2**32,
-    dtype=np.uint32)` yields the same words.  The last step draws words past
-    the chunk's codes, so the generator is left past where numpy's call
-    would leave it; each chunk's generator draws nothing else.
-    """
-    if 2 * batch * length <= DRAW_BLOCK_BYTES:  # one block: numpy's own draw is faster
-        yield rng.integers(0, n_gates, size=(batch, length), dtype=np.uint16)
-        return
-    threshold = (1 << 16) % n_gates
+def _gate_code_blocks(seed, n_gates: int, batch: int, length: int):
+    """The codes `default_rng(seed).integers(0, n_gates, size=(batch, length),
+    dtype=np.uint16)` draws, in row blocks of at most DRAW_BLOCK_BYTES (or one
+    row) of the smallest unsigned type, each in one buffer the next overwrites:
+    the one draw path of every chunk.  numpy applies Lemire's rule to the 16-bit
+    halves of its generator's 32-bit outputs, the low then high halves of a
+    fresh PCG64's raw words; so the chunk's PCG64 is built here, from `seed`."""
+    bits = np.random.PCG64(seed)
     dtype = np.min_scalar_type(n_gates - 1)
-    rows = max(1, DRAW_BLOCK_BYTES // (length * dtype.itemsize))
+    rows = max(1, DRAW_BLOCK_BYTES // max(1, length * dtype.itemsize))
     buffer = np.empty(min(rows, batch) * length, dtype=dtype)
-    drawn = buffer[:0]  # accepted codes not yet copied into a block
+    carry = buffer[:0]
     for r in range(0, batch, rows):
         n = min(rows, batch - r)
-        block = buffer[: n * length]
-        filled = 0
-        while filled < len(block):
-            if not len(drawn):
-                words = rng.integers(0, 1 << 32, size=DRAW_STEP_WORDS, dtype=np.uint32)
-                m = np.multiply(words.astype("<u4", copy=False).view("<u2"), np.uint32(n_gates),
-                                dtype=np.uint32)
-                if threshold:
-                    m = m[m.astype(np.uint16) >= threshold]
-                drawn = (m >> 16).astype(dtype)
-            take = min(len(drawn), len(block) - filled)
-            block[filled : filled + take] = drawn[:take]
-            drawn = drawn[take:]
-            filled += take
-        yield block.reshape(n, length)
+        carry = _draw_codes(bits, n_gates, buffer[: n * length], carry, (batch - r - n) * length)
+        yield buffer[: n * length].reshape(n, length)
+
+
+def _draw_codes(bits, n_gates: int, out: np.ndarray, carry: np.ndarray, later: int):
+    """Fill `out` with `carry`, then by Lemire's rule (m = half * n_gates,
+    rejected while m mod 2^16 < 2^16 mod n_gates, code m >> 16) on `bits`' next
+    raw words as little-endian uint16 halves, in equal steps of at most
+    DRAW_STEP_WORDS for the codes wanted, twice their expected rejections and
+    64 more; return the first `later` codes past its end (None for none)."""
+    threshold = (1 << 16) % n_gates
+    words = lambda codes: (codes + (2 * codes * threshold >> 16) + 67) // 4
+    step = -(-words(len(out)) // -(-words(len(out)) // DRAW_STEP_WORDS))
+    products = np.empty(4 * step, dtype=np.uint32)  # made per call: freed before `out` is scored
+    codes, filled = carry, 0
+    while filled + len(codes) < len(out):
+        out[filled : filled + len(codes)] = codes
+        filled += len(codes)
+        halves = bits.random_raw(min(step, words(len(out) - filled))).astype("<u8", copy=False)
+        halves = halves.view("<u2")
+        if threshold:  # compress only a step that holds a rejected half
+            keep = np.multiply(halves, np.uint16(n_gates)) >= threshold
+            if not keep.all():
+                halves = halves[keep]
+        codes = np.multiply(halves, np.uint32(n_gates), out=products[: len(halves)], dtype=np.uint32)
+        codes >>= 16
+    out[filled:] = codes[: len(out) - filled]
+    return codes[len(out) - filled :][:later].astype(out.dtype) if later else None
 
 
 def sample_distribution(

@@ -139,6 +139,22 @@ def test_engine_matches_scalar_oracle(monkeypatch, wires, length, outputs, fill,
     assert np.array_equal(hist.counts, expected)
 
 
+def _assert_numpys_draws(n_gates, batch, length, largest_block):
+    """The blocks `_gate_code_blocks` yields join into numpy's own uint16
+    draw from a generator seeded alike, and none holds more than
+    `largest_block` bytes."""
+    seq = np.random.SeedSequence([n_gates, batch, length])
+    expected = np.random.default_rng(seq).integers(
+        0, n_gates, size=(batch, length), dtype=np.uint16
+    )
+    row = 0
+    for block in sampling._gate_code_blocks(seq, n_gates, batch, length):
+        assert block.nbytes <= largest_block
+        assert np.array_equal(block, expected[row : row + len(block)])
+        row += len(block)
+    assert row == batch
+
+
 @pytest.mark.parametrize("n_gates", [1, 3, 60, 105, 660, 65535, 65536])
 @pytest.mark.parametrize("batch,length", [(1, 1), (37, 0), (37, 7), (300, 11)])
 def test_gate_code_blocks_are_numpys_draws(monkeypatch, n_gates, batch, length):
@@ -147,18 +163,17 @@ def test_gate_code_blocks_are_numpys_draws(monkeypatch, n_gates, batch, length):
     than DRAW_BLOCK_BYTES (or one row)."""
     monkeypatch.setattr(sampling, "DRAW_BLOCK_BYTES", 100)
     monkeypatch.setattr(sampling, "DRAW_STEP_WORDS", 9)
-    seq = np.random.SeedSequence([n_gates, batch, length])
-    expected = np.random.default_rng(seq).integers(
-        0, n_gates, size=(batch, length), dtype=np.uint16
-    )
-    blocks = [
-        b.copy() for b in sampling._gate_code_blocks(
-            np.random.default_rng(seq), n_gates, batch, length
-        )
-    ]
     code_bytes = 1 if n_gates <= 256 else 2
-    assert all(b.nbytes <= max(100, code_bytes * length) for b in blocks)
-    assert np.array_equal(np.concatenate(blocks), expected)
+    _assert_numpys_draws(n_gates, batch, length, max(100, code_bytes * length))
+
+
+@pytest.mark.parametrize("n_gates", [90, 147, 660, 792])
+@pytest.mark.parametrize("batch,length", [(32768, 20), (8192, 100), (8192, 500), (4096, 500)])
+def test_gate_code_blocks_at_workload_shapes_are_numpys_draws(n_gates, batch, length):
+    """The benchmark's and recipes' chunk shapes, with the module's own
+    block and step sizes, on the 6-, 7- and 12-wire gate counts (90, 147,
+    792) and 660: every code is numpy's."""
+    _assert_numpys_draws(n_gates, batch, length, sampling.DRAW_BLOCK_BYTES)
 
 
 @pytest.mark.parametrize("wires", [6, 7])
@@ -176,6 +191,24 @@ def test_long_chunk_holds_one_draw_block(wires):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_two_full_chunks_hold_little():
+    """Two full 6-wire chunks of 20 gates, the benchmark's L=20 leg, peak at
+    under 2.5 MiB of traced memory (about 2.1 MiB): each chunk's uint8 codes
+    are drawn through step buffers of at most 704 KiB, freed before they
+    are scored, and the scorer's wire column is one broadcast -1.  numpy's
+    own uint16 draw and a (B,) int64 wire array took 3.0 MiB."""
+    sample_fitness_histogram(6, 1, 10, seed=0, target=TARGET)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sample_fitness_histogram(6, 20, 2 * CHUNK_SIZE, seed=0, target=TARGET)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 @pytest.mark.parametrize("wires", [52, 80])
