@@ -239,9 +239,9 @@ class Scorer:
         return evaluate_batch(gate_codes, self._init_rows, self._kept)
 
     def score_codes(self, gate_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(fitness, wire) arrays of B circuits given as (B, L) gate codes;
-        wire is -1 under a fixed map (read-only).  Up to 64 cases it counts the
-        misses in `final_rows`; past 64 it walks each circuit by `score_gates`."""
+        """(fitness, wire) arrays of B circuits given as (B, L) gate codes; wire
+        is -1 under a fixed map (read-only up to 64 cases).  Up to 64 cases it
+        counts the misses in `final_rows`; past 64 it walks each by `score_gates`."""
         if not self._one_word:
             triples = np.stack(gate_arrays(self.wires), axis=1).tolist()
             scores = [self.score_gates(map(triples.__getitem__, codes))

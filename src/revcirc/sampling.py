@@ -40,8 +40,9 @@ CHUNK_SIZE = 1 << 15
 ENUMERATION_GUARD = 10**10
 # Bus words a scan level holds at once (1 MiB; fastest of 2^14-2^20, BENCH_sampler.json).
 SCAN_BLOCK_WORDS = 1 << 17
-# Bytes of gate codes a chunk draws and scores at once (2 MiB), and the most
-# raw words (128 KiB) a draw step reads from the chunk's fresh PCG64.
+# Bytes of gate codes a chunk draws and scores at once (2 MiB), and the most raw
+# words (128 KiB) a draw step reads: of 2^12-2^16, the largest step that keeps
+# each workload's traced peak at most 105 bytes over numpy's own draw (BENCH_sampler.json).
 DRAW_BLOCK_BYTES = 1 << 21
 DRAW_STEP_WORDS = 1 << 14
 
@@ -183,10 +184,11 @@ def _draw_codes(bits, n_gates: int, out: np.ndarray, carry: np.ndarray, later: i
     rejected while m mod 2^16 < 2^16 mod n_gates, code m >> 16) on `bits`' next
     raw words as little-endian uint16 halves, in equal steps of at most
     DRAW_STEP_WORDS for the codes wanted, twice their expected rejections and
-    64 more; return the first `later` codes past its end (None for none)."""
+    64 more; return the first `later` codes past its end."""
     threshold = (1 << 16) % n_gates
     words = lambda codes: (codes + (2 * codes * threshold >> 16) + 67) // 4
-    step = -(-words(len(out)) // -(-words(len(out)) // DRAW_STEP_WORDS))
+    total = words(len(out))
+    step = -(-total // -(-total // DRAW_STEP_WORDS))
     products = np.empty(4 * step, dtype=np.uint32)  # made per call: freed before `out` is scored
     codes, filled = carry, 0
     while filled + len(codes) < len(out):
@@ -194,14 +196,12 @@ def _draw_codes(bits, n_gates: int, out: np.ndarray, carry: np.ndarray, later: i
         filled += len(codes)
         halves = bits.random_raw(min(step, words(len(out) - filled))).astype("<u8", copy=False)
         halves = halves.view("<u2")
-        if threshold:  # compress only a step that holds a rejected half
-            keep = np.multiply(halves, np.uint16(n_gates)) >= threshold
-            if not keep.all():
-                halves = halves[keep]
+        if threshold:
+            halves = halves[np.multiply(halves, np.uint16(n_gates)) >= threshold]
         codes = np.multiply(halves, np.uint32(n_gates), out=products[: len(halves)], dtype=np.uint32)
         codes >>= 16
     out[filled:] = codes[: len(out) - filled]
-    return codes[len(out) - filled :][:later].astype(out.dtype) if later else None
+    return codes[len(out) - filled :][:later].astype(out.dtype)
 
 
 def sample_distribution(
